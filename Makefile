@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint satlint proof-check build test race race-parallel fuzz bench bench-json bench-smoke encode-stats equisat ops-smoke serve-smoke load-smoke race-serve
+.PHONY: check vet lint satlint proof-check build test race race-parallel fuzz bench bench-json bench-smoke bench-harness encode-stats equisat ops-smoke serve-smoke load-smoke race-serve
 
 ## check: the full CI gate — vet, lint, proof replay, build, the
 ## race-enabled test suite, and a short fuzz smoke run of every
@@ -73,6 +73,13 @@ bench-json:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' -timeout 60m . \
 		| $(GO) run ./internal/tools/bench2json > /dev/null
+
+## bench-harness: the end-to-end benchmark's own tests — its percentile
+## unit test and a short smoke run of every workload. bench/ is a Go
+## module of its own, so the root module's go test ./... never reaches it,
+## and an API change that breaks the harness would otherwise go unnoticed.
+bench-harness:
+	cd bench && $(GO) test -count 1 ./...
 
 ## encode-stats: bit-blast the Table-1 specs (compile only, no solving)
 ## under the legacy encoder and both structural-hashing comparator

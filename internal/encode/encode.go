@@ -11,6 +11,7 @@ package encode
 
 import (
 	"fmt"
+	"slices"
 
 	"satalloc/internal/bv"
 	"satalloc/internal/ir"
@@ -330,11 +331,20 @@ func (e *Encoding) encodeAllocation() error {
 	// realizable by any schedule, so transitivity is enforced explicitly
 	// on equal-deadline triples.
 	e.begin(GroupPriority, "order")
+	// Deadline groups are visited in ascending order so the same spec
+	// always yields the same clause sequence and, on a sequential solver,
+	// the same search.
 	byDeadline := map[int64][]int{}
+	var deadlines []int64
 	for _, t := range e.Sys.Tasks {
+		if _, ok := byDeadline[t.Deadline]; !ok {
+			deadlines = append(deadlines, t.Deadline)
+		}
 		byDeadline[t.Deadline] = append(byDeadline[t.Deadline], t.ID)
 	}
-	for _, group := range byDeadline {
+	slices.Sort(deadlines)
+	for _, d := range deadlines {
+		group := byDeadline[d]
 		if len(group) < 3 {
 			continue
 		}

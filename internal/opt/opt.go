@@ -86,9 +86,10 @@ type Options struct {
 	// clauses; in fresh mode the portfolio is rebuilt per call like the
 	// solver itself.
 	Workers int
-	// Verify re-checks the decoded allocation with the independent
-	// response-time analyzer and fails loudly on disagreement. Enabled by
-	// default in Minimize; disable only in benchmarks of raw solve time.
+	// SkipVerify turns off the re-check of the decoded allocation with the
+	// independent response-time analyzer. Minimize runs that check by
+	// default and fails loudly on disagreement; skip it only in benchmarks
+	// of raw solve time.
 	SkipVerify bool
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)

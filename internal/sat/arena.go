@@ -140,21 +140,18 @@ func (s *Solver) compactArena() {
 		s.learnts[i] = move(r)
 	}
 	fwd := func(r clauseRef) clauseRef { return clauseRef(uint32(old[r])) }
-	for p := range s.watches {
-		ws := s.watches[p]
-		for i := range ws {
-			ws[i].ref = fwd(ws[i].ref)
+	for p := range s.occs {
+		o := &s.occs[p]
+		for i := range o.watches {
+			o.watches[i].ref = fwd(o.watches[i].ref)
+		}
+		for i := range o.bins {
+			o.bins[i].ref = fwd(o.bins[i].ref)
 		}
 	}
-	for p := range s.binWatches {
-		ws := s.binWatches[p]
-		for i := range ws {
-			ws[i].ref = fwd(ws[i].ref)
-		}
-	}
-	for v := range s.reasonOf {
-		if r := s.reasonOf[v]; r.pb == nil && r.ref != nilRef {
-			s.reasonOf[v].ref = fwd(r.ref)
+	for v := range s.vars {
+		if r := &s.vars[v].reason; r.ref != nilRef {
+			r.ref = fwd(r.ref)
 		}
 	}
 	s.ca.data = nd

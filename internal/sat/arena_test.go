@@ -73,7 +73,7 @@ func TestArenaCompactionPreservesReasons(t *testing.T) {
 	}
 	var snaps []snap
 	for _, tr := range ts {
-		r := s.reasonOf[tr.c]
+		r := s.vars[tr.c].reason
 		if !r.isClause() {
 			t.Fatalf("triple %+v has no clause reason before reduceDB", tr)
 		}
@@ -101,7 +101,7 @@ func TestArenaCompactionPreservesReasons(t *testing.T) {
 	// ref, present in the learnt list, watched under its first two
 	// literals, and the watch entries agree with the reason slot.
 	for _, sn := range snaps {
-		r := s.reasonOf[sn.tr.c]
+		r := s.vars[sn.tr.c].reason
 		if !r.isClause() {
 			t.Fatalf("triple %+v lost its clause reason across compaction", sn.tr)
 		}
@@ -125,7 +125,7 @@ func TestArenaCompactionPreservesReasons(t *testing.T) {
 		}
 		for _, wl := range []Lit{got[0].Not(), got[1].Not()} {
 			found := false
-			for _, w := range s.watches[wl] {
+			for _, w := range s.occs[wl].watches {
 				if w.ref == r.ref {
 					found = true
 				}

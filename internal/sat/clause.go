@@ -8,24 +8,25 @@ package sat
 
 // reason justifies a propagated literal or a conflict during analysis: a
 // clause in the arena, a PB constraint, or nothing (decisions, assumption
-// literals, and root units carry noReason). The tagged value replaces the
-// old two-word interface so the hot paths stay free of interface
-// dispatch and type assertions.
+// literals, and root units carry noReason). It is an 8-byte value holding
+// two 32-bit ids and no pointer, so the per-variable reason slots cost the
+// garbage collector nothing to scan and the hot paths need no interface
+// dispatch or type assertion.
 type reason struct {
 	ref clauseRef
-	pb  *pbConstraint
+	pb  pbID
 }
 
 var noReason = reason{}
 
 func clauseReason(r clauseRef) reason { return reason{ref: r} }
 
-func pbReason(c *pbConstraint) reason { return reason{pb: c} }
+func pbReason(id pbID) reason { return reason{pb: id} }
 
 // none reports the absence of a justification (decision/assumption/unit).
 //
 //satlint:hotpath alloc-free
-func (r reason) none() bool { return r.pb == nil && r.ref == nilRef }
+func (r reason) none() bool { return r == noReason }
 
 // isClause reports whether the reason is an arena clause.
 //
@@ -38,8 +39,8 @@ func (r reason) isClause() bool { return r.ref != nilRef }
 // is LitUndef and the returned clause is falsified by the current
 // assignment.
 func (s *Solver) explain(r reason, lit Lit, pos int, out []Lit) []Lit {
-	if r.pb != nil {
-		return r.pb.explain(s, lit, pos, out)
+	if r.pb != nilPB {
+		return s.explainPB(r.pb, lit, pos, out)
 	}
 	for _, l := range s.ca.lits(r.ref) {
 		if l != lit {

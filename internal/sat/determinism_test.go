@@ -40,10 +40,12 @@ type detFingerprint struct {
 }
 
 // detScenario drives one solver through a deterministic script and
-// fingerprints the run.
+// fingerprints the run. build loads the formula the script starts from
+// into a fresh solver; the script itself may grow it further.
 type detScenario struct {
-	name string
-	run  func(t *testing.T) detFingerprint
+	name  string
+	build func(t *testing.T, s *Solver)
+	run   func(t *testing.T) detFingerprint
 }
 
 // hashModel folds the full model into h.
@@ -138,11 +140,13 @@ func determinismScenarios() []detScenario {
 	// exercising restarts and conflict analysis.
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
+		build := func(t *testing.T, s *Solver) { buildRandom3SAT(t, s, seed, 50, 212) }
 		scs = append(scs, detScenario{
-			name: fmt.Sprintf("3sat/seed=%d", seed),
+			name:  fmt.Sprintf("3sat/seed=%d", seed),
+			build: build,
 			run: func(t *testing.T) detFingerprint {
 				s := New()
-				buildRandom3SAT(t, s, seed, 50, 212)
+				build(t, s)
 				st := s.Solve()
 				var h uint64
 				if st == Sat {
@@ -156,12 +160,16 @@ func determinismScenarios() []detScenario {
 	// same trail as clause propagation.
 	for seed := int64(20); seed <= 23; seed++ {
 		seed := seed
+		build := func(t *testing.T, s *Solver) {
+			buildRandom3SAT(t, s, seed, 40, 140)
+			buildRandomPB(t, s, seed+100, 25, 6)
+		}
 		scs = append(scs, detScenario{
-			name: fmt.Sprintf("mixed-pb/seed=%d", seed),
+			name:  fmt.Sprintf("mixed-pb/seed=%d", seed),
+			build: build,
 			run: func(t *testing.T) detFingerprint {
 				s := New()
-				buildRandom3SAT(t, s, seed, 40, 140)
-				buildRandomPB(t, s, seed+100, 25, 6)
+				build(t, s)
 				st := s.Solve()
 				var h uint64
 				if st == Sat {
@@ -177,12 +185,14 @@ func determinismScenarios() []detScenario {
 	// assumptions so relocated clauses must still explain propagations.
 	for seed := int64(40); seed <= 42; seed++ {
 		seed := seed
+		build := func(t *testing.T, s *Solver) { buildRandom3SAT(t, s, seed, 60, 240) }
 		scs = append(scs, detScenario{
-			name: fmt.Sprintf("incremental-reduce/seed=%d", seed),
+			name:  fmt.Sprintf("incremental-reduce/seed=%d", seed),
+			build: build,
 			run: func(t *testing.T) detFingerprint {
 				s := New()
 				s.maxLearnt = 20
-				buildRandom3SAT(t, s, seed, 60, 240)
+				build(t, s)
 				var statuses []Status
 				var h uint64
 				st := s.Solve()
@@ -214,37 +224,41 @@ func determinismScenarios() []detScenario {
 	}
 	// Cardinality-heavy instance: one-hot rows over a grid plus binary
 	// exclusion clauses — the allocation encoding's shape in miniature.
+	buildGrid := func(t *testing.T, s *Solver) {
+		const rows, cols = 12, 6
+		grid := make([][]Lit, rows)
+		for r := range grid {
+			grid[r] = make([]Lit, cols)
+			for c := range grid[r] {
+				grid[r][c] = PosLit(s.NewVar())
+			}
+		}
+		rng := rand.New(rand.NewSource(99))
+		for r := range grid {
+			if err := s.AddClause(grid[r]...); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AddAtMostOne(grid[r]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			r1, r2 := rng.Intn(rows), rng.Intn(rows)
+			c := rng.Intn(cols)
+			if r1 == r2 {
+				continue
+			}
+			if err := s.AddClause(grid[r1][c].Not(), grid[r2][c].Not()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	scs = append(scs, detScenario{
-		name: "one-hot-grid",
+		name:  "one-hot-grid",
+		build: buildGrid,
 		run: func(t *testing.T) detFingerprint {
 			s := New()
-			const rows, cols = 12, 6
-			grid := make([][]Lit, rows)
-			for r := range grid {
-				grid[r] = make([]Lit, cols)
-				for c := range grid[r] {
-					grid[r][c] = PosLit(s.NewVar())
-				}
-			}
-			rng := rand.New(rand.NewSource(99))
-			for r := range grid {
-				if err := s.AddClause(grid[r]...); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.AddAtMostOne(grid[r]...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 40; i++ {
-				r1, r2 := rng.Intn(rows), rng.Intn(rows)
-				c := rng.Intn(cols)
-				if r1 == r2 {
-					continue
-				}
-				if err := s.AddClause(grid[r1][c].Not(), grid[r2][c].Not()); err != nil {
-					t.Fatal(err)
-				}
-			}
+			buildGrid(t, s)
 			st := s.Solve()
 			var h uint64
 			if st == Sat {

@@ -225,8 +225,8 @@ func ParseOPB(r io.Reader) (*Solver, []PBTerm, error) {
 // WriteDIMACS dumps the solver's problem clauses in DIMACS CNF format.
 // PB constraints are not expressible in CNF and are rejected.
 func (s *Solver) WriteDIMACS(w io.Writer) error {
-	if len(s.pbs) > 0 {
-		return fmt.Errorf("sat: formula holds %d PB constraints; use WriteOPB", len(s.pbs))
+	if n := s.pb.count(); n > 0 {
+		return fmt.Errorf("sat: formula holds %d PB constraints; use WriteOPB", n)
 	}
 	bw := bufio.NewWriter(w)
 	if !s.ok {
@@ -237,7 +237,7 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 	}
 	units := 0
 	for _, l := range s.trail {
-		if s.level[l.Var()] == 0 {
+		if s.vars[l.Var()].level == 0 {
 			units++
 		}
 	}
@@ -253,7 +253,7 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 		fmt.Fprintln(bw, "0")
 	}
 	for _, l := range s.trail {
-		if s.level[l.Var()] == 0 {
+		if s.vars[l.Var()].level == 0 {
 			emit([]Lit{l})
 		}
 	}
@@ -271,7 +271,7 @@ func (s *Solver) WriteOPB(w io.Writer) error {
 		fmt.Fprintf(bw, "* #variable= 1 #constraint= 2\n+1 x1 >= 1 ;\n+1 ~x1 >= 1 ;\n")
 		return bw.Flush()
 	}
-	fmt.Fprintf(bw, "* #variable= %d #constraint= %d\n", s.NumVariables(), len(s.clauses)+len(s.pbs))
+	fmt.Fprintf(bw, "* #variable= %d #constraint= %d\n", s.NumVariables(), len(s.clauses)+s.pb.count())
 	lit := func(l Lit) string {
 		if l.Sign() {
 			return fmt.Sprintf("~x%d", l.Var())
@@ -279,7 +279,7 @@ func (s *Solver) WriteOPB(w io.Writer) error {
 		return fmt.Sprintf("x%d", l.Var())
 	}
 	for _, l := range s.trail {
-		if s.level[l.Var()] == 0 {
+		if s.vars[l.Var()].level == 0 {
 			fmt.Fprintf(bw, "+1 %s >= 1 ;\n", lit(l))
 		}
 	}
@@ -289,11 +289,11 @@ func (s *Solver) WriteOPB(w io.Writer) error {
 		}
 		fmt.Fprintln(bw, ">= 1 ;")
 	}
-	for _, c := range s.pbs {
-		for _, t := range c.terms {
+	for id := pbID(1); int(id) < len(s.pb.hdr); id++ {
+		for _, t := range s.pb.body(id) {
 			fmt.Fprintf(bw, "+%d %s ", t.Coef, lit(t.Lit))
 		}
-		fmt.Fprintf(bw, ">= %d ;\n", c.bound)
+		fmt.Fprintf(bw, ">= %d ;\n", s.pb.hdr[id].bound)
 	}
 	return bw.Flush()
 }

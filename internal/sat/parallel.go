@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -73,38 +74,101 @@ func (j *journal) recordPB(terms []PBTerm, bound int64) {
 // activities, and saved phases are not copied — a clone starts its own
 // search from scratch — which is exactly what the portfolio's diversified
 // workers want. The solver must be at decision level 0.
+//
+// The root state is copied wholesale rather than replayed through
+// AddClause/AddPB: the assignment, trail and propagation head, the
+// problem clauses (packed into a fresh arena), their watch lists with the
+// learnt entries dropped, and the PB store with its root-level slacks. The
+// clone's root facts carry no reason — a reason may name a learnt clause
+// the clone does not have, and conflict analysis never reads the reason of
+// a root-level literal.
 func (s *Solver) CloneAtRoot() (*Solver, error) {
 	if s.decisionLevel() != 0 {
 		return nil, ErrNotAtRoot
 	}
 	c := New()
-	for i := 1; i < len(s.assign); i++ {
-		c.NewVar()
+	n := len(s.vars)
+	c.vals = slices.Clone(s.vals)
+	c.vars = make([]varInfo, n)
+	for v := 1; v < n; v++ {
+		c.vars[v].phase = true
 	}
+	c.activity = make([]float64, n)
+	for v := 1; v < n; v++ {
+		c.heap.push(Var(v))
+	}
+	c.occs = make([]litOccs, len(s.occs))
+	c.Stats.NumVars = s.Stats.NumVars
 	c.MaxConflicts = s.MaxConflicts
 	if !s.ok {
 		c.ok = false
 		return c, nil
 	}
-	// Root facts first (unit clauses are enqueued, not stored, so they
-	// cannot be recovered from the clause lists), then the stored
-	// constraints. Clauses satisfied by a root fact are dropped by
-	// AddClause's normalization, which is sound: the fact subsumes them.
+	c.trail = slices.Clone(s.trail)
+	c.qhead = s.qhead
 	for _, p := range s.trail {
-		if err := c.AddClause(p); err != nil {
-			return nil, err
-		}
+		c.vars[p.Var()] = varInfo{pos: s.vars[p.Var()].pos, phase: p.Sign()}
 	}
-	for _, cl := range s.clauses {
-		if err := c.AddClause(s.ca.lits(cl)...); err != nil {
-			return nil, err
-		}
+
+	// Problem clauses keep their allocation order, so s.clauses is sorted
+	// by ref and a binary search maps an old ref to its index.
+	words := 1
+	for _, r := range s.clauses {
+		words += hdrWords + s.ca.size(r)
 	}
-	for _, pb := range s.pbs {
-		if err := c.AddPB(pb.terms, pb.bound); err != nil {
-			return nil, err
-		}
+	c.ca.data = make([]Lit, 1, words)
+	c.clauses = make([]clauseRef, len(s.clauses))
+	for i, r := range s.clauses {
+		c.clauses[i] = clauseRef(len(c.ca.data))
+		c.ca.data = append(c.ca.data, s.ca.data[r:int(r)+hdrWords+s.ca.size(r)]...)
 	}
+	remap := func(r clauseRef) (clauseRef, bool) {
+		if s.ca.learnt(r) {
+			return nilRef, false
+		}
+		i, _ := slices.BinarySearch(s.clauses, r)
+		return c.clauses[i], true
+	}
+	// Every copied list is carved out of one backing array per kind and
+	// capped at its length, so the clone's first append to a list moves
+	// that list alone.
+	var nw, nb, np int
+	for l := range s.occs {
+		nw += len(s.occs[l].watches)
+		nb += len(s.occs[l].bins)
+		np += len(s.occs[l].pbs)
+	}
+	wbuf := make([]watcher, 0, nw)
+	bbuf := make([]binWatcher, 0, nb)
+	pbuf := make([]pbWatch, 0, np)
+	for l := range s.occs {
+		so, co := &s.occs[l], &c.occs[l]
+		start := len(wbuf)
+		for _, w := range so.watches {
+			if nr, ok := remap(w.ref); ok {
+				wbuf = append(wbuf, watcher{ref: nr, blocker: w.blocker})
+			}
+		}
+		co.watches = wbuf[start:len(wbuf):len(wbuf)]
+		start = len(bbuf)
+		for _, w := range so.bins {
+			if nr, ok := remap(w.ref); ok {
+				bbuf = append(bbuf, binWatcher{other: w.other, ref: nr})
+			}
+		}
+		co.bins = bbuf[start:len(bbuf):len(bbuf)]
+		start = len(pbuf)
+		pbuf = append(pbuf, so.pbs...)
+		co.pbs = pbuf[start:len(pbuf):len(pbuf)]
+	}
+	c.pb = pbStore{
+		hdr:   slices.Clone(s.pb.hdr),
+		terms: slices.Clone(s.pb.terms),
+		slack: slices.Clone(s.pb.slack),
+	}
+	c.Stats.NumClauses = s.Stats.NumClauses
+	c.Stats.NumPB = s.Stats.NumPB
+	c.Stats.NumLiterals = s.Stats.NumLiterals
 	return c, nil
 }
 
@@ -117,9 +181,9 @@ func (s *Solver) addSharedAtRoot(lits []Lit, lbd int) (imported, alive bool) {
 	if !s.ok {
 		return false, false
 	}
-	out := make([]Lit, 0, len(lits))
+	out := s.litBuf[:0]
 	for _, l := range lits {
-		if l.Var() <= 0 || int(l.Var()) >= len(s.assign) {
+		if l.Var() <= 0 || int(l.Var()) >= len(s.vars) {
 			// Cannot happen when workers are synced before each race;
 			// defensively skip rather than corrupt the database.
 			return false, true
@@ -132,6 +196,7 @@ func (s *Solver) addSharedAtRoot(lits []Lit, lbd int) (imported, alive bool) {
 		}
 		out = append(out, l)
 	}
+	s.litBuf = out
 	switch len(out) {
 	case 0:
 		s.ok = false
@@ -276,13 +341,13 @@ func diversify(w *Solver, i int, seed int64) {
 	w.restartUnit = d.unit
 	switch d.phase {
 	case 1:
-		for v := range w.phase {
-			w.phase[v] = false
+		for v := range w.vars {
+			w.vars[v].phase = false
 		}
 	case 2:
 		rng := rand.New(rand.NewSource(seed + int64(i)))
-		for v := range w.phase {
-			w.phase[v] = rng.Intn(2) == 1
+		for v := range w.vars {
+			w.vars[v].phase = rng.Intn(2) == 1
 		}
 	}
 }

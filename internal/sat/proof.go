@@ -43,7 +43,7 @@ func (s *Solver) SetProofLogger(pl ProofLogger) error {
 	if s.journal != nil {
 		return errors.New("sat: proof logging is incompatible with the parallel portfolio (shared clauses are not RUP in the importer's log); use a sequential solver")
 	}
-	if s.NumVariables() > 0 || len(s.clauses) > 0 || len(s.pbs) > 0 || len(s.trail) > 0 || !s.ok {
+	if s.NumVariables() > 0 || len(s.clauses) > 0 || s.pb.count() > 0 || len(s.trail) > 0 || !s.ok {
 		return errors.New("sat: proof logger must be installed on an empty solver")
 	}
 	s.proof = pl
@@ -82,26 +82,26 @@ func (s *Solver) markRefuted() {
 // the assumptions.
 func (s *Solver) analyzeFinal(p Lit) []Lit {
 	core := []Lit{p}
-	if s.level[p.Var()] == 0 {
+	if s.vars[p.Var()].level == 0 {
 		// ¬p holds at the root: the formula alone refutes p.
 		return core
 	}
-	s.seen[p.Var()] = 1
+	s.vars[p.Var()].seen = 1
 	for i := len(s.trail) - 1; i >= int(s.trailLim[0]); i-- {
 		q := s.trail[i]
 		v := q.Var()
-		if s.seen[v] == 0 {
+		if s.vars[v].seen == 0 {
 			continue
 		}
-		s.seen[v] = 0
-		r := s.reasonOf[v]
+		s.vars[v].seen = 0
+		r := s.vars[v].reason
 		if r.none() {
 			core = append(core, q)
 			continue
 		}
-		for _, l := range s.explain(r, q, int(s.pos[v]), nil) {
-			if l != q && s.level[l.Var()] > 0 {
-				s.seen[l.Var()] = 1
+		for _, l := range s.explain(r, q, int(s.vars[v].pos), nil) {
+			if l != q && s.vars[l.Var()].level > 0 {
+				s.vars[l.Var()].seen = 1
 			}
 		}
 	}

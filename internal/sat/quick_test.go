@@ -22,7 +22,7 @@ func TestNormalizePBEquivalenceQuick(t *testing.T) {
 			v := Var(int(rt.Var)%nVars + 1)
 			terms = append(terms, PBTerm{Coef: int64(rt.Coef), Lit: MkLit(v, rt.Neg)})
 		}
-		norm, nbound, alwaysTrue, alwaysFalse := normalizePB(terms, int64(bound))
+		norm, nbound, alwaysTrue, alwaysFalse := normalizePB(nil, terms, int64(bound))
 
 		eval := func(mask int, ts []PBTerm, b int64) bool {
 			var sum int64
@@ -69,7 +69,7 @@ func TestNormalizePBShapeQuick(t *testing.T) {
 			v := Var(i%3 + 1)
 			terms = append(terms, PBTerm{Coef: int64(c), Lit: MkLit(v, signs[i])})
 		}
-		norm, nbound, alwaysTrue, alwaysFalse := normalizePB(terms, int64(bound))
+		norm, nbound, alwaysTrue, alwaysFalse := normalizePB(nil, terms, int64(bound))
 		if alwaysTrue || alwaysFalse {
 			return true
 		}

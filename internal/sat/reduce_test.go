@@ -69,7 +69,7 @@ func TestParallelReduceDBKeepsSharedReasonClauses(t *testing.T) {
 		ls := s.ca.lits(r)
 		for _, wl := range []Lit{ls[0].Not(), ls[1].Not()} {
 			found := false
-			for _, w := range s.watches[wl] {
+			for _, w := range s.occs[wl].watches {
 				if w.ref == r {
 					found = true
 				}
@@ -81,7 +81,7 @@ func TestParallelReduceDBKeepsSharedReasonClauses(t *testing.T) {
 		return true
 	}
 	for _, tr := range ts {
-		r := s.reasonOf[tr.c]
+		r := s.vars[tr.c].reason
 		if !r.isClause() {
 			t.Fatalf("c of triple %+v lost its clause reason after reduceDB", tr)
 		}

@@ -2,6 +2,8 @@ package sat
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"sort"
 
 	"satalloc/internal/faultinject"
@@ -78,34 +80,41 @@ type Progress struct {
 // again; learnt clauses are retained, which is what gives the binary-search
 // optimizer its incremental speedup.
 type Solver struct {
-	// Assignment state, indexed by Var (slot 0 unused).
-	assign   []LBool
-	level    []int32
-	pos      []int32 // trail position of the variable's assignment
-	reasonOf []reason
-	phase    []bool // saved phase: last assigned sign
+	// vals is the assignment indexed by Lit, so a literal's value is one
+	// load: vals[l] and vals[l.Not()] are always complementary (or both
+	// LUndef). Slots 0 and 1 (variable 0) are unused.
+	vals []LBool
+	// vars holds the per-variable search state, indexed by Var (slot 0
+	// unused).
+	vars     []varInfo
 	activity []float64
-	seen     []byte
 
 	heap   *varHeap
 	varInc float64
 
-	watches    [][]watcher    // indexed by Lit: clauses watching this literal's falsification
-	binWatches [][]binWatcher // indexed by Lit: binary clauses whose other literal this falsification implies
-	pbOccs     [][]pbWatch    // indexed by Lit: assigning Lit falsifies a term of the constraint
-	ca         *clauseArena   // flat backing store for clauses and learnts
-	clauses    []clauseRef
-	learnts    []clauseRef
-	pbs        []*pbConstraint
-	claInc     float64
-	maxLearnt  float64
+	occs      []litOccs // indexed by Lit: what assigning the literal true touches
+	watchSlab occSlab[watcher]
+	binSlab   occSlab[binWatcher]
+	pbSlab    occSlab[pbWatch]
+	ca        *clauseArena // flat backing store for clauses and learnts
+	clauses   []clauseRef
+	learnts   []clauseRef
+	pb        pbStore
+	claInc    float64
+	maxLearnt float64
 
 	trail    []Lit
 	trailLim []int32
 	qhead    int
 
-	ok    bool // false once the formula is known unsatisfiable at level 0
-	model []LBool
+	// Scratch buffers for normalizing constraints on intake, reused
+	// across calls so adding a clause or PB constraint allocates only when
+	// the solver's own storage grows.
+	litBuf  []Lit
+	termBuf []PBTerm
+
+	ok    bool    // false once the formula is known unsatisfiable at level 0
+	model []LBool // vals of the last satisfying assignment, indexed by Lit
 
 	// MaxConflicts, when > 0, bounds the number of conflicts per Solve
 	// call; exceeding it yields Unknown.
@@ -190,6 +199,47 @@ type Solver struct {
 	Stats
 }
 
+// varInfo is one variable's search state.
+type varInfo struct {
+	reason reason // why the variable is assigned; noReason for decisions and root units
+	level  int32  // decision level of the assignment
+	pos    int32  // trail position of the assignment
+	phase  bool   // saved phase: last assigned sign
+	seen   byte   // conflict-analysis mark
+}
+
+// litOccs lists everything that assigning a literal true touches.
+type litOccs struct {
+	watches []watcher    // clauses watching the literal's falsification
+	bins    []binWatcher // binary clauses whose other literal this falsification implies
+	pbs     []pbWatch    // PB constraints with a term this assignment falsifies
+}
+
+// occSlab hands out the first slots of per-literal occurrence lists from
+// shared chunks: filling the lists of a fresh formula would otherwise
+// allocate each list two or three times as append grows it from empty. A
+// window is capped at occWindow entries, so a list that outgrows it moves
+// to a backing array of its own through append and never writes into a
+// neighbour's window.
+type occSlab[T any] struct{ free []T }
+
+const (
+	occWindow = 4
+	occChunk  = 256 // windows per chunk
+)
+
+// add appends x to list, seating an empty list in a fresh window first.
+func (sl *occSlab[T]) add(list []T, x T) []T {
+	if cap(list) == 0 {
+		if len(sl.free) < occWindow {
+			sl.free = make([]T, occWindow*occChunk)
+		}
+		list = sl.free[:0:occWindow]
+		sl.free = sl.free[occWindow:]
+	}
+	return append(list, x)
+}
+
 // The sequential solver's historical search constants; the parallel
 // portfolio varies them per worker for diversification.
 const (
@@ -212,33 +262,22 @@ func New() *Solver {
 	}
 	s.heap = newVarHeap(&s.activity)
 	s.ca = newArena()
+	s.pb = newPBStore()
 	// Slot 0 is a sentinel so Var and Lit index directly.
-	s.assign = append(s.assign, LUndef)
-	s.level = append(s.level, 0)
-	s.pos = append(s.pos, 0)
-	s.reasonOf = append(s.reasonOf, noReason)
-	s.phase = append(s.phase, false)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, 0)
-	s.watches = append(s.watches, nil, nil)
-	s.binWatches = append(s.binWatches, nil, nil)
-	s.pbOccs = append(s.pbOccs, nil, nil)
+	s.vals = make([]LBool, 2)
+	s.vars = make([]varInfo, 1)
+	s.activity = make([]float64, 1)
+	s.occs = make([]litOccs, 2)
 	return s
 }
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assign))
-	s.assign = append(s.assign, LUndef)
-	s.level = append(s.level, 0)
-	s.pos = append(s.pos, 0)
-	s.reasonOf = append(s.reasonOf, noReason)
-	s.phase = append(s.phase, true) // default polarity: try false first
+	v := Var(len(s.vars))
+	s.vals = append(s.vals, LUndef, LUndef)
+	s.vars = append(s.vars, varInfo{phase: true}) // default polarity: try false first
 	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, 0)
-	s.watches = append(s.watches, nil, nil)
-	s.binWatches = append(s.binWatches, nil, nil)
-	s.pbOccs = append(s.pbOccs, nil, nil)
+	s.occs = append(s.occs, litOccs{}, litOccs{})
 	s.heap.push(v)
 	s.Stats.NumVars++
 	s.journal.recordVar()
@@ -246,18 +285,10 @@ func (s *Solver) NewVar() Var {
 }
 
 // NumVariables returns the number of allocated variables.
-func (s *Solver) NumVariables() int { return len(s.assign) - 1 }
+func (s *Solver) NumVariables() int { return len(s.vars) - 1 }
 
-func (s *Solver) litValue(l Lit) LBool {
-	v := s.assign[l.Var()]
-	if v == LUndef {
-		return LUndef
-	}
-	if l.Sign() {
-		return v.Not()
-	}
-	return v
-}
+//satlint:hotpath alloc-free
+func (s *Solver) litValue(l Lit) LBool { return s.vals[l] }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
@@ -274,7 +305,11 @@ var ErrNotAtRoot = errors.New("sat: constraints must be added at decision level 
 // not retained.
 func (s *Solver) AddClause(lits ...Lit) error {
 	if s.proof != nil {
-		s.proof.ProofInput(lits)
+		// The logger sees a scratch copy: handing it lits would let the
+		// caller's variadic argument escape, costing every AddClause call
+		// a heap allocation even with no logger installed.
+		s.litBuf = append(s.litBuf[:0], lits...)
+		s.proof.ProofInput(s.litBuf)
 	}
 	return s.addClause(lits...)
 }
@@ -290,15 +325,17 @@ func (s *Solver) addClause(lits ...Lit) error {
 	if !s.ok {
 		return nil
 	}
-	// Normalize: sort, drop duplicates and false literals, detect
-	// tautologies and satisfied clauses.
-	ls := make([]Lit, len(lits))
-	copy(ls, lits)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// Normalize in the scratch buffer: sort, drop duplicates and false
+	// literals, detect tautologies and satisfied clauses. lits may itself
+	// be the scratch buffer (AddPB's clause path); the append then copies
+	// it onto itself.
+	ls := append(s.litBuf[:0], lits...)
+	s.litBuf = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = LitUndef
 	for _, l := range ls {
-		if l.Var() <= 0 || int(l.Var()) >= len(s.assign) {
+		if l.Var() <= 0 || int(l.Var()) >= len(s.vars) {
 			return errors.New("sat: literal references unallocated variable")
 		}
 		switch {
@@ -341,14 +378,17 @@ func (s *Solver) AddPB(terms []PBTerm, bound int64) error {
 		return nil
 	}
 	for _, t := range terms {
-		if t.Lit.Var() <= 0 || int(t.Lit.Var()) >= len(s.assign) {
+		if t.Lit.Var() <= 0 || int(t.Lit.Var()) >= len(s.vars) {
 			return errors.New("sat: PB term references unallocated variable")
 		}
 	}
 	if s.proof != nil {
-		s.proof.ProofInputPB(terms, bound)
+		// A scratch copy, for the reason AddClause gives.
+		s.termBuf = append(s.termBuf[:0], terms...)
+		s.proof.ProofInputPB(s.termBuf, bound)
 	}
-	norm, bnd, alwaysTrue, alwaysFalse := normalizePB(terms, bound)
+	norm, bnd, alwaysTrue, alwaysFalse := normalizePB(s.termBuf, terms, bound)
+	s.termBuf = norm[:0]
 	if alwaysTrue {
 		return nil
 	}
@@ -361,34 +401,40 @@ func (s *Solver) AddPB(terms []PBTerm, bound int64) error {
 	// logged in PB form, and the checker's propagation over it is exactly
 	// clause propagation.
 	if norm[len(norm)-1].Coef >= bnd {
-		ls := make([]Lit, len(norm))
-		for i, t := range norm {
-			ls[i] = t.Lit
+		ls := s.litBuf[:0]
+		for _, t := range norm {
+			ls = append(ls, t.Lit)
 		}
+		s.litBuf = ls
 		return s.addClause(ls...)
 	}
-	c := &pbConstraint{terms: norm, bound: bnd}
+	if uint64(len(s.pb.terms))+uint64(len(norm)) > math.MaxUint32 {
+		panic("sat: PB store exceeds 32-bit term space")
+	}
+	id := pbID(len(s.pb.hdr))
+	s.pb.hdr = append(s.pb.hdr, pbHeader{start: uint32(len(s.pb.terms)), n: uint32(len(norm)), bound: bnd})
+	s.pb.terms = append(s.pb.terms, norm...)
 	// Compute initial slack under the current (root-level) assignment and
 	// register occurrence watches.
-	c.slack = -bnd
-	for i, t := range c.terms {
+	slack := -bnd
+	for _, t := range norm {
 		if s.litValue(t.Lit) != LFalse {
-			c.slack += t.Coef
+			slack += t.Coef
 		}
 		// t.Lit is falsified when its negation is assigned true.
-		nl := t.Lit.Not()
-		s.pbOccs[nl] = append(s.pbOccs[nl], pbWatch{c: c, idx: i})
+		o := &s.occs[t.Lit.Not()]
+		o.pbs = s.pbSlab.add(o.pbs, pbWatch{coef: t.Coef, id: id})
 	}
-	s.pbs = append(s.pbs, c)
+	s.pb.slack = append(s.pb.slack, slack)
 	s.Stats.NumPB++
 	s.Stats.NumLiterals += int64(len(norm))
-	if c.slack < 0 {
+	if slack < 0 {
 		s.markRefuted()
 		return nil
 	}
 	// Propagate any literal already forced at root level.
-	for _, t := range c.terms {
-		if t.Coef > c.slack && s.litValue(t.Lit) == LUndef {
+	for _, t := range s.pb.body(id) {
+		if t.Coef > slack && s.litValue(t.Lit) == LUndef {
 			s.uncheckedEnqueue(t.Lit, noReason)
 		}
 	}
@@ -410,27 +456,25 @@ func (s *Solver) AddAtMostOne(lits ...Lit) error {
 
 func (s *Solver) attach(r clauseRef) {
 	ls := s.ca.lits(r)
+	o0, o1 := &s.occs[ls[0].Not()], &s.occs[ls[1].Not()]
 	if len(ls) == 2 {
-		s.binWatches[ls[0].Not()] = append(s.binWatches[ls[0].Not()], binWatcher{other: ls[1], ref: r})
-		s.binWatches[ls[1].Not()] = append(s.binWatches[ls[1].Not()], binWatcher{other: ls[0], ref: r})
+		o0.bins = s.binSlab.add(o0.bins, binWatcher{other: ls[1], ref: r})
+		o1.bins = s.binSlab.add(o1.bins, binWatcher{other: ls[0], ref: r})
 		return
 	}
-	s.watches[ls[0].Not()] = append(s.watches[ls[0].Not()], watcher{ref: r, blocker: ls[1]})
-	s.watches[ls[1].Not()] = append(s.watches[ls[1].Not()], watcher{ref: r, blocker: ls[0]})
+	o0.watches = s.watchSlab.add(o0.watches, watcher{ref: r, blocker: ls[1]})
+	o1.watches = s.watchSlab.add(o1.watches, watcher{ref: r, blocker: ls[0]})
 }
 
 //satlint:hotpath
 func (s *Solver) uncheckedEnqueue(l Lit, from reason) {
-	v := l.Var()
-	if l.Sign() {
-		s.assign[v] = LFalse
-	} else {
-		s.assign[v] = LTrue
-	}
-	s.level[v] = s.decisionLevel()
-	s.pos[v] = int32(len(s.trail))
-	s.reasonOf[v] = from
-	s.phase[v] = l.Sign()
+	s.vals[l] = LTrue
+	s.vals[l.Not()] = LFalse
+	vi := &s.vars[l.Var()]
+	vi.reason = from
+	vi.level = s.decisionLevel()
+	vi.pos = int32(len(s.trail))
+	vi.phase = l.Sign()
 	s.trail = append(s.trail, l)
 }
 
@@ -444,30 +488,34 @@ func (s *Solver) propagate() reason {
 		s.qhead++
 		s.Stats.Propagations++
 
+		// occs does not grow during propagation, so o stays valid.
+		o := &s.occs[p]
+
 		// PB constraints: assigning p falsifies registered terms.
-		for _, w := range s.pbOccs[p] {
-			c := w.c
-			c.slack -= c.terms[w.idx].Coef
-			if c.slack < 0 {
+		for i, w := range o.pbs {
+			slack := s.pb.falsify(w)
+			if slack < 0 {
 				// Finish updating the remaining occurrences of p so
 				// backtracking stays balanced: cancelUntil adds back the
 				// coefficient for every watch of p.
-				s.finishPBUpdates(p, w)
-				return pbReason(c)
+				for _, rest := range o.pbs[i+1:] {
+					s.pb.falsify(rest)
+				}
+				return pbReason(w.id)
 			}
-			for _, t := range c.terms {
-				if t.Coef <= c.slack {
+			for _, t := range s.pb.body(w.id) {
+				if t.Coef <= slack {
 					break // sorted descending: nothing further can propagate
 				}
 				if s.litValue(t.Lit) == LUndef {
-					s.uncheckedEnqueue(t.Lit, pbReason(c))
+					s.uncheckedEnqueue(t.Lit, pbReason(w.id))
 				}
 			}
 		}
 
 		// Binary clauses first: falsifying p directly implies the other
 		// literal, with no watcher-search loop and no watch movement.
-		for _, w := range s.binWatches[p] {
+		for _, w := range o.bins {
 			switch s.litValue(w.other) {
 			case LTrue:
 			case LFalse:
@@ -480,7 +528,7 @@ func (s *Solver) propagate() reason {
 		// Clause propagation with two watched literals. c aliases arena
 		// storage; nothing in this loop grows the arena, so the slice
 		// stays valid and in-place watch reordering writes through.
-		ws := s.watches[p]
+		ws := o.watches
 		i, j := 0, 0
 		conflict := noReason
 	clauseLoop:
@@ -506,7 +554,10 @@ func (s *Solver) propagate() reason {
 			for k := 2; k < len(c); k++ {
 				if s.litValue(c[k]) != LFalse {
 					c[1], c[k] = c[k], c[1]
-					s.watches[c[1].Not()] = append(s.watches[c[1].Not()], watcher{ref: w.ref, blocker: c[0]})
+					// c[1] is not false, so its complement is not p and
+					// this append never touches ws.
+					no := &s.occs[c[1].Not()]
+					no.watches = append(no.watches, watcher{ref: w.ref, blocker: c[0]})
 					continue clauseLoop
 				}
 			}
@@ -525,28 +576,12 @@ func (s *Solver) propagate() reason {
 			}
 			s.uncheckedEnqueue(c[0], clauseReason(w.ref))
 		}
-		s.watches[p] = ws[:j]
+		o.watches = ws[:j]
 		if !conflict.none() {
 			return conflict
 		}
 	}
 	return noReason
-}
-
-// finishPBUpdates applies the slack updates for the remaining watches of p
-// after a PB conflict at watch w, so that cancelUntil's uniform undo keeps
-// every counter consistent.
-func (s *Solver) finishPBUpdates(p Lit, at pbWatch) {
-	occ := s.pbOccs[p]
-	found := false
-	for _, w := range occ {
-		if found {
-			w.c.slack -= w.c.terms[w.idx].Coef
-		}
-		if w.c == at.c && w.idx == at.idx {
-			found = true
-		}
-	}
 }
 
 //satlint:hotpath
@@ -558,13 +593,14 @@ func (s *Solver) cancelUntil(lvl int32) {
 	for i := int32(len(s.trail)) - 1; i >= bound; i-- {
 		p := s.trail[i]
 		v := p.Var()
-		s.assign[v] = LUndef
-		s.reasonOf[v] = noReason
+		s.vals[p] = LUndef
+		s.vals[p.Not()] = LUndef
+		s.vars[v].reason = noReason
 		// PB slack counters are only decremented when propagate dequeues a
 		// literal, so only dequeued literals (position < qhead) are undone.
 		if int(i) < s.qhead {
-			for _, w := range s.pbOccs[p] {
-				w.c.slack += w.c.terms[w.idx].Coef
+			for _, w := range s.occs[p].pbs {
+				s.pb.restore(w)
 			}
 		}
 		s.heap.push(v)
@@ -617,29 +653,29 @@ func (s *Solver) analyze(confl reason) ([]Lit, int32) {
 				continue
 			}
 			v := q.Var()
-			if s.seen[v] == 0 && s.level[v] > 0 {
-				s.seen[v] = 1
+			if s.vars[v].seen == 0 && s.vars[v].level > 0 {
+				s.vars[v].seen = 1
 				s.bumpVar(v)
-				if s.level[v] >= cur {
+				if s.vars[v].level >= cur {
 					counter++
 				} else {
 					learnt = append(learnt, q)
 				}
 			}
 		}
-		for s.seen[s.trail[idx].Var()] == 0 {
+		for s.vars[s.trail[idx].Var()].seen == 0 {
 			idx--
 		}
 		p = s.trail[idx]
 		idx--
 		v := p.Var()
-		s.seen[v] = 0
+		s.vars[v].seen = 0
 		counter--
 		if counter == 0 {
 			break
 		}
-		confl = s.reasonOf[v]
-		expl = s.explain(confl, p, int(s.pos[v]), expl[:0])
+		confl = s.vars[v].reason
+		expl = s.explain(confl, p, int(s.vars[v].pos), expl[:0])
 	}
 	learnt[0] = p.Not()
 
@@ -647,11 +683,11 @@ func (s *Solver) analyze(confl reason) ([]Lit, int32) {
 	// subsumed by the rest of the learnt clause.
 	toClear := append([]Lit(nil), learnt...)
 	for _, q := range learnt[1:] {
-		s.seen[q.Var()] = 1
+		s.vars[q.Var()].seen = 1
 	}
 	kept := learnt[:1]
 	for _, q := range learnt[1:] {
-		r := s.reasonOf[q.Var()]
+		r := s.vars[q.Var()].reason
 		if r.none() || !s.redundant(q, r) {
 			kept = append(kept, q)
 		}
@@ -663,15 +699,15 @@ func (s *Solver) analyze(confl reason) ([]Lit, int32) {
 	if len(learnt) > 1 {
 		maxI := 1
 		for i := 2; i < len(learnt); i++ {
-			if s.level[learnt[i].Var()] > s.level[learnt[maxI].Var()] {
+			if s.vars[learnt[i].Var()].level > s.vars[learnt[maxI].Var()].level {
 				maxI = i
 			}
 		}
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
-		bt = s.level[learnt[1].Var()]
+		bt = s.vars[learnt[1].Var()].level
 	}
 	for _, q := range toClear {
-		s.seen[q.Var()] = 0
+		s.vars[q.Var()].seen = 0
 	}
 	return learnt, bt
 }
@@ -679,13 +715,13 @@ func (s *Solver) analyze(confl reason) ([]Lit, int32) {
 // redundant reports whether literal q of a learnt clause is implied by the
 // remaining marked literals through its reason (one resolution step).
 func (s *Solver) redundant(q Lit, r reason) bool {
-	expl := s.explain(r, q.Not(), int(s.pos[q.Var()]), nil)
+	expl := s.explain(r, q.Not(), int(s.vars[q.Var()].pos), nil)
 	for _, l := range expl {
 		if l == q.Not() {
 			continue
 		}
 		v := l.Var()
-		if s.seen[v] == 0 && s.level[v] > 0 {
+		if s.vars[v].seen == 0 && s.vars[v].level > 0 {
 			return false
 		}
 	}
@@ -695,7 +731,7 @@ func (s *Solver) redundant(q Lit, r reason) bool {
 func (s *Solver) computeLBD(lits []Lit) int {
 	seen := map[int32]bool{}
 	for _, l := range lits {
-		seen[s.level[l.Var()]] = true
+		seen[s.vars[l.Var()].level] = true
 	}
 	return len(seen)
 }
@@ -741,8 +777,7 @@ func (s *Solver) reduceDB() {
 	})
 	isReason := func(r clauseRef) bool {
 		v := s.ca.lits(r)[0].Var()
-		rr := s.reasonOf[v]
-		return s.assign[v] != LUndef && rr.pb == nil && rr.ref == r
+		return s.vals[PosLit(v)] != LUndef && s.vars[v].reason == clauseReason(r)
 	}
 	kept := s.learnts[:0]
 	limit := len(s.learnts) / 2
@@ -769,37 +804,34 @@ func (s *Solver) reduceDB() {
 // O(list length) with no shifting, on both the binary and the long list.
 func (s *Solver) detach(r clauseRef) {
 	ls := s.ca.lits(r)
-	if len(ls) == 2 {
-		for _, wl := range [2]Lit{ls[0].Not(), ls[1].Not()} {
-			ws := s.binWatches[wl]
-			for i, w := range ws {
-				if w.ref == r {
-					ws[i] = ws[len(ws)-1]
-					s.binWatches[wl] = ws[:len(ws)-1]
-					break
-				}
-			}
-		}
-		return
-	}
 	for _, wl := range [2]Lit{ls[0].Not(), ls[1].Not()} {
-		ws := s.watches[wl]
-		for i, w := range ws {
-			if w.ref == r {
-				ws[i] = ws[len(ws)-1]
-				s.watches[wl] = ws[:len(ws)-1]
-				break
-			}
+		o := &s.occs[wl]
+		if len(ls) == 2 {
+			o.bins = swapDelete(o.bins, func(w binWatcher) bool { return w.ref == r })
+		} else {
+			o.watches = swapDelete(o.watches, func(w watcher) bool { return w.ref == r })
 		}
 	}
+}
+
+// swapDelete removes the first element matching hit by overwriting it with
+// the last one and truncating.
+func swapDelete[T any](ws []T, hit func(T) bool) []T {
+	for i, w := range ws {
+		if hit(w) {
+			ws[i] = ws[len(ws)-1]
+			return ws[:len(ws)-1]
+		}
+	}
+	return ws
 }
 
 //satlint:hotpath
 func (s *Solver) pickBranchLit() Lit {
 	for !s.heap.empty() {
 		v := s.heap.pop()
-		if s.assign[v] == LUndef {
-			return MkLit(v, s.phase[v])
+		if s.vals[PosLit(v)] == LUndef {
+			return MkLit(v, s.vars[v].phase)
 		}
 	}
 	return LitUndef
@@ -971,7 +1003,7 @@ func (s *Solver) search(assumptions ...Lit) Status {
 		p := s.pickBranchLit()
 		if p == LitUndef {
 			// Full assignment: SAT.
-			s.model = append(s.model[:0], s.assign...)
+			s.model = append(s.model[:0], s.vals...)
 			s.cancelUntil(0)
 			return Sat
 		}
@@ -988,10 +1020,11 @@ func (s *Solver) search(assumptions ...Lit) Status {
 // Model returns the value of v in the last satisfying assignment. It is
 // only meaningful after Solve returned Sat.
 func (s *Solver) Model(v Var) bool {
-	if int(v) >= len(s.model) {
+	l := PosLit(v)
+	if int(l) >= len(s.model) {
 		return false
 	}
-	return s.model[v] == LTrue
+	return s.model[l] == LTrue
 }
 
 // ModelLit reports whether literal l is true in the last model.
