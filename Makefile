@@ -24,10 +24,11 @@ satlint:
 ## proof-check: the verdict-observability gate — the DRAT-modulo-PB
 ## checker's own tests, every seeded corpus UNSAT replayed through it,
 ## the core-extraction minimality checks, the solvesat DRAT round trip,
-## and the Table-1/Table-2 optimality-certificate acceptance tests.
+## the Table-1/Table-2 optimality-certificate acceptance tests, and the
+## warm-started search's certificate and fallback tests.
 proof-check:
 	$(GO) test -count 1 ./internal/proof
-	$(GO) test -count 1 -run 'Proof|Certified|SeedCorpus|Explain' \
+	$(GO) test -count 1 -run 'Proof|Certified|SeedCorpus|Explain|WarmStart' \
 		./internal/sat ./internal/opt ./internal/core \
 		./internal/experiments ./cmd/solvesat ./cmd/allocate
 

@@ -368,3 +368,57 @@ func TestRandomArithmeticIdentities(t *testing.T) {
 		}
 	}
 }
+
+// TestAssignmentLitsSpellOutModel checks that AssignmentLits maps a
+// source-level assignment onto the solver literals that carry it: every
+// literal of a model's own assignment is true in that model, values
+// outside a variable's range are skipped, and hinting the literals of a
+// chosen solution steers the next search to exactly that solution.
+func TestAssignmentLitsSpellOutModel(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		f := ir.NewFormula()
+		x := f.Int("x", 0, 20)
+		y := f.Int("y", -5, 5)
+		p := f.Bool("p")
+		f.Require(ir.Eq(ir.Add(x, y), ir.Const(9)))
+		f.Require(ir.Imply(p, ir.Ge(x, ir.Const(10))))
+		sys, err := CompileWith(f, Options{DisableHashing: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := sys.Solve(); st != sat.Sat {
+			t.Fatalf("hashing off=%v: got %v", disable, st)
+		}
+		lits := sys.AssignmentLits(sys.Model())
+		if len(lits) == 0 {
+			t.Fatalf("hashing off=%v: no literals for a full model", disable)
+		}
+		for _, l := range lits {
+			if !sys.S.ModelLit(l) {
+				t.Fatalf("hashing off=%v: literal %v is false in the model it was read from", disable, l)
+			}
+		}
+		if got := sys.AssignmentLits(&ir.Assignment{Ints: map[*ir.IntVar]int64{x: 21}}); len(got) != 0 {
+			t.Fatalf("hashing off=%v: out-of-range value produced %d literals", disable, len(got))
+		}
+
+		want := &ir.Assignment{
+			Ints:  map[*ir.IntVar]int64{x: 13, y: -4},
+			Bools: map[*ir.BoolVar]bool{p: true},
+		}
+		fresh, err := CompileWith(f, Options{DisableHashing: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range fresh.AssignmentLits(want) {
+			fresh.S.Hint(l)
+		}
+		if st := fresh.Solve(); st != sat.Sat {
+			t.Fatalf("hashing off=%v: hinted solve got %v", disable, st)
+		}
+		if fresh.Int(x) != 13 || fresh.Int(y) != -4 || !fresh.Bool(p) {
+			t.Fatalf("hashing off=%v: hinted solve found x=%d y=%d p=%v, want the hinted 13, -4, true",
+				disable, fresh.Int(x), fresh.Int(y), fresh.Bool(p))
+		}
+	}
+}

@@ -107,6 +107,45 @@ func (sys *System) AssertLowerBound(v *ir.IntVar, k int64) error {
 	return sys.S.AddClause(l)
 }
 
+// AssignmentLits returns the solver literals that spell out a partial
+// source-level assignment: one per Boolean variable a assigns, and one per
+// bit of each integer variable it assigns, in the formula's declaration
+// order (Booleans first), so the result never depends on map order. Bits
+// the bit-blaster folded to constants are skipped, as are integer values
+// outside the variable's declared range. The optimizer's warm start hands
+// these to sat.Solver.Hint.
+func (sys *System) AssignmentLits(a *ir.Assignment) []sat.Lit {
+	if sys.Tr.Unsat {
+		return nil
+	}
+	b := sys.B
+	var out []sat.Lit
+	add := func(l sat.Lit, val bool) {
+		if l.Var() == b.lTrue.Var() {
+			return
+		}
+		if !val {
+			l = l.Not()
+		}
+		out = append(out, l)
+	}
+	for _, v := range sys.F.BoolVars {
+		if val, ok := a.Bools[v]; ok {
+			add(b.bools[sys.Tr.SourceBool[v.ID]], val)
+		}
+	}
+	for _, v := range sys.F.IntVars {
+		val, ok := a.Ints[v]
+		if !ok || val < v.Lo || val > v.Hi {
+			continue
+		}
+		for i, l := range b.vecs[sys.Tr.SourceInt[v.ID]] {
+			add(l, val>>i&1 == 1)
+		}
+	}
+	return out
+}
+
 // BoolSolverVar returns the solver variable carrying a source-level
 // Boolean variable, for callers that need to project models (e.g. AllSAT
 // enumeration over the placement variables).

@@ -18,6 +18,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"satalloc/internal/baseline"
 	"satalloc/internal/bv"
 	"satalloc/internal/encode"
 	"satalloc/internal/flightrec"
@@ -240,7 +241,15 @@ func SolveContext(ctx context.Context, sys *model.System, cfg Config) (sol *Solu
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding failed: %w", err)
 	}
+	// Warm start: the greedy first-fit allocation, when it finds one,
+	// bounds the first SOLVE call and steers its decisions.
+	greedy := baseline.GreedyFirstFit(sys, encOpts)
+	inc := &opt.Incumbent{}
+	if greedy.Feasible {
+		inc.Allocation, inc.Cost = greedy.Allocation, greedy.Cost
+	}
 	res, err := opt.Minimize(enc, opt.Options{
+		Incumbent:           inc,
 		Incremental:         !cfg.FreshSolverPerCall,
 		MaxConflictsPerCall: cfg.MaxConflictsPerCall,
 		Workers:             cfg.Workers,
@@ -314,10 +323,21 @@ func certificateLine(c *proof.Certificate) string {
 
 // CheckFeasible answers only the decision question "is any allocation
 // schedulable?", using one SOLVE call (no binary search beyond the first
-// model).
+// model): the first model cancels the search, whose anytime result then
+// carries that model.
 func CheckFeasible(sys *model.System, cfg Config) (bool, error) {
 	cfg.MaxConflictsPerCall = 0
-	sol, err := Solve(sys, cfg)
+	//satlint:ignore ctxflow no-ctx convenience wrapper: the context exists only to stop the search at its first model
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	onImprove := cfg.OnImprove
+	cfg.OnImprove = func(lower, upper int64) {
+		cancel()
+		if onImprove != nil {
+			onImprove(lower, upper)
+		}
+	}
+	sol, err := SolveContext(ctx, sys, cfg)
 	if err != nil {
 		return false, err
 	}

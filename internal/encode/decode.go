@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"satalloc/internal/ir"
@@ -97,6 +98,59 @@ func (e *Encoding) Decode(m *ir.Assignment) (*model.Allocation, error) {
 		}
 	}
 	return a, nil
+}
+
+// DecisionAssignment maps an allocation onto the encoding's decision
+// variables — the reverse of Decode on them: the placement one-hots, the
+// deadline-tie priorities, the route selectors, the used-medium flags, the
+// local message deadlines and the slot lengths (in quanta). Variables the
+// allocation says nothing about stay unassigned, and a route that matches
+// no candidate path leaves every selector of its message false. The
+// optimizer hints these values to the solver to warm-start the search
+// from a heuristic incumbent; they carry no logical weight there, so an
+// allocation the encoding cannot represent costs search time, never
+// soundness.
+func (e *Encoding) DecisionAssignment(a *model.Allocation) *ir.Assignment {
+	m := ir.NewAssignment()
+	for _, t := range e.Sys.Tasks {
+		placed, ok := a.TaskECU[t.ID]
+		if !ok {
+			continue
+		}
+		for p, v := range e.alloc[t.ID] {
+			m.Bools[v] = p == placed
+		}
+	}
+	for pair, v := range e.tie {
+		hi, okHi := a.TaskPrio[pair[0]]
+		lo, okLo := a.TaskPrio[pair[1]]
+		if okHi && okLo {
+			m.Bools[v] = hi < lo // a smaller rank is a higher priority
+		}
+	}
+	for _, msg := range e.Sys.Messages {
+		route, ok := a.Route[msg.ID]
+		if !ok {
+			continue
+		}
+		for idx, h := range e.paths[msg.ID] {
+			m.Bools[e.route[msg.ID][idx]] = slices.Equal(h, route)
+		}
+		for k, v := range e.used[msg.ID] {
+			m.Bools[v] = slices.Contains(route, k)
+		}
+		for k, v := range e.localDL[msg.ID] {
+			m.Ints[v] = a.MsgLocalDeadline[[2]int{msg.ID, k}] // 0 off the route
+		}
+	}
+	for _, med := range e.Sys.Media {
+		for p, v := range e.slot[med.ID] {
+			if l, ok := a.SlotLen[[2]int{med.ID, p}]; ok {
+				m.Ints[v] = l / med.SlotQuantum
+			}
+		}
+	}
+	return m
 }
 
 // CostOf reads the cost variable from an assignment.

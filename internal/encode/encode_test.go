@@ -388,3 +388,52 @@ func TestEncodedResponseIsValidFixedPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestDecisionAssignmentInvertsDecode checks that DecisionAssignment is the
+// reverse of Decode on the decision variables: mapping a decoded model's
+// allocation back assigns every placement, tie, route, used-medium,
+// local-deadline and slot variable exactly the value the model gave it.
+func TestDecisionAssignmentInvertsDecode(t *testing.T) {
+	sys := twoBusSystem()
+	enc, err := Encode(sys, Options{Objective: MinimizeSumTRT, ObjectiveMedium: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := bv.Compile(enc.F)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := compiled.Solve(); st != sat.Sat {
+		t.Fatalf("got %v, want SAT", st)
+	}
+	m := compiled.Model()
+	alloc, err := enc.Decode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := enc.DecisionAssignment(alloc)
+	want := 0
+	for _, vs := range enc.alloc {
+		want += len(vs)
+	}
+	want += len(enc.tie)
+	for id := range enc.paths {
+		want += len(enc.route[id]) + len(enc.used[id]) + len(enc.localDL[id])
+	}
+	for _, vs := range enc.slot {
+		want += len(vs)
+	}
+	if got := len(back.Bools) + len(back.Ints); got != want || len(enc.tie) == 0 {
+		t.Fatalf("assigned %d decision variables, want %d (ties: %d)", got, want, len(enc.tie))
+	}
+	for v, val := range back.Bools {
+		if m.Bools[v] != val {
+			t.Errorf("%s = %v, model has %v", v.Name, val, m.Bools[v])
+		}
+	}
+	for v, val := range back.Ints {
+		if m.Ints[v] != val {
+			t.Errorf("%s = %d, model has %d", v.Name, val, m.Ints[v])
+		}
+	}
+}

@@ -33,7 +33,7 @@ type Event struct {
 	AtUS int64 `json:"at_us"`
 	// Kind names the event source, dot-scoped by layer: "sat.solve",
 	// "sat.restart", "sat.reduce", "sat.done", "opt.iter", "opt.bounds",
-	// "opt.incumbent", "opt.budget", "core.solve.start",
+	// "opt.incumbent", "opt.budget", "opt.warmstart", "core.solve.start",
 	// "core.solve.end", "core.panic", "portfolio.incumbent",
 	// "portfolio.arm".
 	Kind string `json:"kind"`

@@ -226,6 +226,15 @@ func (m *SolverMetrics) RecordIter(d time.Duration, interrupted bool) {
 	}
 }
 
+// RecordBudgetHit counts a budget or cancellation that stopped the binary
+// search between SOLVE calls, before the next one started.
+func (m *SolverMetrics) RecordBudgetHit() {
+	if m == nil {
+		return
+	}
+	m.BudgetHits.Inc()
+}
+
 // RecordBounds publishes the binary search's current proven window [L,R].
 func (m *SolverMetrics) RecordBounds(l, r int64) {
 	if m == nil {

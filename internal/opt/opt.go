@@ -129,11 +129,28 @@ type Options struct {
 	// mode). The panic-containment layer uses it to dump the formula that
 	// was being solved into the repro bundle.
 	Observe func(*bv.System)
+	// Incumbent, when set, warm-starts the binary search from a heuristic
+	// incumbent (core passes the greedy first-fit answer). Its decision
+	// values become the solver's saved phases, with their variables'
+	// activity bumped so they are decided first, and the first SOLVE call
+	// is bounded by its cost: SOLVE(φ ∧ cost ≤ c) replaces SOLVE(φ). The
+	// incumbent itself is never returned; every result still comes from a
+	// SAT model that passes verify. A nil Allocation searches cold, but
+	// the WarmStart span still records that the heuristic found nothing.
+	Incumbent *Incumbent
 	// ObserveProof, when set together with Proof, receives each proof log
 	// just after its solver is created — before any step is recorded. The
 	// panic-containment layer uses it to dump the in-progress inference
 	// trace into the repro bundle.
 	ObserveProof func(*proof.Log)
+}
+
+// Incumbent is the outcome of a heuristic run before the search: a
+// feasible allocation and its cost under the encoding's objective, or a
+// nil Allocation when the heuristic found none.
+type Incumbent struct {
+	Allocation *model.Allocation
+	Cost       int64
 }
 
 // IterStats records one SOLVE call of the binary search — the
@@ -142,7 +159,8 @@ type IterStats struct {
 	// Call is the 1-based SOLVE invocation index.
 	Call int
 	// Lo and Hi bound the cost window assumed for this call; -1 means the
-	// side was unconstrained (the initial SOLVE(φ)).
+	// side was unconstrained (the initial SOLVE(φ), whose upper side a warm
+	// start bounds).
 	Lo, Hi int64
 	// Status is the solver's verdict for this window.
 	Status sat.Status
@@ -227,6 +245,11 @@ func (o *Options) logf(format string, args ...any) {
 // intended L := M+1 — the window [L,M] was proven empty.) R always holds
 // the cost of a model already found, so on termination R is the optimum
 // and its model the witness.
+//
+// With opts.Incumbent of cost c, the first call is R := SOLVE(φ ∧ cost ≤ c)
+// under the incumbent's hinted decisions. If that window is empty, no
+// model costs ≤ c, so L := c+1 and R := SOLVE(φ ∧ cost ≥ L) takes its
+// place; only when that is empty too is the formula infeasible.
 //
 // Minimize is anytime: when opts.Ctx is cancelled, its deadline expires,
 // or a SOLVE call exhausts MaxConflictsPerCall mid-search, the incumbent
@@ -502,10 +525,28 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 		return res, nil
 	}
 
-	// R := SOLVE(φ).
-	first, err := solve(-1, -1)
+	// R := SOLVE(φ), or SOLVE(φ ∧ cost ≤ c) from an incumbent of cost c.
+	firstHi := int64(-1)
+	if opts.Incumbent != nil {
+		firstHi = warmStart(enc, sys, opts)
+	}
+	L := enc.Cost.Lo
+	first, err := solve(-1, firstHi)
 	if err != nil {
 		return nil, err
+	}
+	if first.status == sat.Unsat && firstHi >= 0 {
+		// No model costs ≤ c: the optimum lies above the incumbent's cost.
+		L = firstHi + 1
+		opts.logf("no model with cost ≤ %d → L=%d", firstHi, L)
+		if opts.Incremental {
+			if err := sys.AssertLowerBound(enc.Cost, L); err != nil {
+				return nil, err
+			}
+		}
+		if first, err = solve(L, -1); err != nil {
+			return nil, err
+		}
 	}
 	switch first.status {
 	case sat.Unsat:
@@ -513,13 +554,12 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 		return finish()
 	case sat.Unknown:
 		// Interrupted before any model existed: nothing to salvage beyond
-		// the encoding's structural lower bound.
+		// the lower bound proven so far.
 		res.Status = Aborted
-		res.LowerBound = enc.Cost.Lo
+		res.LowerBound = L
 		return finish()
 	}
 	best := first
-	L := enc.Cost.Lo
 	R := best.cost
 	opts.logf("initial solution cost=%d (search window [%d,%d])", R, L, R)
 	publishWindow := func() {
@@ -553,6 +593,13 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 	}
 
 	for L < R {
+		if stop() {
+			// Cancelled between calls: start no further SOLVE, and count
+			// the interruption as an interrupted call would have been.
+			opts.Metrics.RecordBudgetHit()
+			opts.Recorder.Record("opt.budget", "interrupted before call=%d (budget/deadline/cancel)", res.SolveCalls+1)
+			return degrade(L)
+		}
 		M := (L + R) / 2
 		k, err := solve(L, M)
 		if err != nil {
@@ -595,6 +642,33 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 	}
 	res.Allocation = alloc
 	return finish()
+}
+
+// warmStart hints the incumbent's decision values to the solver (in the
+// formula's variable order, so the search stays repeatable) and returns
+// the cost bound of the first probe: the incumbent's cost, or -1
+// (unbounded) when there is no allocation or its cost does not narrow the
+// encoding's cost range.
+func warmStart(enc *encode.Encoding, sys *bv.System, opts Options) int64 {
+	inc := opts.Incumbent
+	sp := opts.Trace.Child("WarmStart").Attr("feasible", inc.Allocation != nil)
+	defer sp.End()
+	if inc.Allocation == nil {
+		opts.Recorder.Record("opt.warmstart", "no incumbent: first probe unbounded")
+		return -1
+	}
+	lits := sys.AssignmentLits(enc.DecisionAssignment(inc.Allocation))
+	for _, l := range lits {
+		sys.S.Hint(l)
+	}
+	hi := int64(-1)
+	if inc.Cost >= enc.Cost.Lo && inc.Cost < enc.Cost.Hi {
+		hi = inc.Cost
+	}
+	sp.Attr("cost", inc.Cost).Attr("hinted", len(lits))
+	opts.Recorder.Record("opt.warmstart", "incumbent cost=%d hinted=%d first probe hi=%d",
+		inc.Cost, len(lits), hi)
+	return hi
 }
 
 // verify cross-checks the optimizer's output against the source formula and

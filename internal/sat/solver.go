@@ -113,6 +113,17 @@ type Solver struct {
 	litBuf  []Lit
 	termBuf []PBTerm
 
+	// Conflict-analysis scratch, reused across conflicts so learning a
+	// clause allocates only when a buffer outgrows every earlier conflict:
+	// the learnt clause under construction, the marked literals to clear,
+	// and the reason explanations. levelStamp[lvl] == lbdStamp marks a
+	// decision level already counted by the current computeLBD call.
+	learntBuf  []Lit
+	clearBuf   []Lit
+	explBuf    []Lit
+	levelStamp []uint64
+	lbdStamp   uint64
+
 	ok    bool    // false once the formula is known unsatisfiable at level 0
 	model []LBool // vals of the last satisfying assignment, indexed by Lit
 
@@ -621,6 +632,17 @@ func (s *Solver) bumpVar(v Var) {
 	s.heap.decreased(v)
 }
 
+// Hint steers the search toward literal l without constraining it: l
+// becomes its variable's saved phase and the variable's activity gets one
+// bump, so the variable is decided ahead of unbumped ones and tried as l
+// first. Phase saving overwrites the hint once the variable is assigned
+// otherwise, and a hint carries no logical weight, so it never changes a
+// verdict — only which model, or which refutation, the search finds.
+func (s *Solver) Hint(l Lit) {
+	s.vars[l.Var()].phase = l.Sign()
+	s.bumpVar(l.Var())
+}
+
 func (s *Solver) bumpClause(r clauseRef) {
 	act := s.ca.activity(r) + s.claInc
 	s.ca.setActivity(r, act)
@@ -637,11 +659,11 @@ func (s *Solver) bumpClause(r clauseRef) {
 //
 //satlint:hotpath
 func (s *Solver) analyze(confl reason) ([]Lit, int32) {
-	learnt := []Lit{LitUndef}
+	learnt := append(s.learntBuf[:0], LitUndef)
 	counter := 0
 	p := LitUndef
 	idx := len(s.trail) - 1
-	expl := s.explain(confl, LitUndef, 0, nil)
+	expl := s.explain(confl, LitUndef, 0, s.explBuf[:0])
 	cur := s.decisionLevel()
 
 	for {
@@ -678,10 +700,12 @@ func (s *Solver) analyze(confl reason) ([]Lit, int32) {
 		expl = s.explain(confl, p, int(s.vars[v].pos), expl[:0])
 	}
 	learnt[0] = p.Not()
+	s.learntBuf, s.explBuf = learnt, expl
 
 	// One-step clause minimization: drop a literal whose reason is fully
 	// subsumed by the rest of the learnt clause.
-	toClear := append([]Lit(nil), learnt...)
+	toClear := append(s.clearBuf[:0], learnt...)
+	s.clearBuf = toClear
 	for _, q := range learnt[1:] {
 		s.vars[q.Var()].seen = 1
 	}
@@ -715,7 +739,8 @@ func (s *Solver) analyze(confl reason) ([]Lit, int32) {
 // redundant reports whether literal q of a learnt clause is implied by the
 // remaining marked literals through its reason (one resolution step).
 func (s *Solver) redundant(q Lit, r reason) bool {
-	expl := s.explain(r, q.Not(), int(s.vars[q.Var()].pos), nil)
+	expl := s.explain(r, q.Not(), int(s.vars[q.Var()].pos), s.explBuf[:0])
+	s.explBuf = expl
 	for _, l := range expl {
 		if l == q.Not() {
 			continue
@@ -728,12 +753,23 @@ func (s *Solver) redundant(q Lit, r reason) bool {
 	return true
 }
 
+// computeLBD counts the distinct decision levels of lits: each level is
+// stamped on first sight with a per-call value, so the count needs no
+// set and no clearing between calls.
 func (s *Solver) computeLBD(lits []Lit) int {
-	seen := map[int32]bool{}
+	s.lbdStamp++
+	n := 0
 	for _, l := range lits {
-		seen[s.vars[l.Var()].level] = true
+		lvl := int(s.vars[l.Var()].level)
+		if lvl >= len(s.levelStamp) {
+			s.levelStamp = append(s.levelStamp, make([]uint64, lvl+1-len(s.levelStamp))...)
+		}
+		if s.levelStamp[lvl] != s.lbdStamp {
+			s.levelStamp[lvl] = s.lbdStamp
+			n++
+		}
 	}
-	return len(seen)
+	return n
 }
 
 // recordLearnt stores the learnt clause and returns its LBD (1 for unit

@@ -772,3 +772,31 @@ func TestEnumerateModelsUnsat(t *testing.T) {
 		t.Fatalf("unsat formula enumerated %d models", n)
 	}
 }
+
+// TestHintSteersModelNotVerdict checks that Hint picks the polarity the
+// search tries first — an unconstrained variable takes its hinted value —
+// while leaving verdicts alone: a hinted literal that contradicts the
+// formula yields the same model class as without the hint, and an UNSAT
+// formula stays UNSAT.
+func TestHintSteersModelNotVerdict(t *testing.T) {
+	s := New()
+	x, y, z := s.NewVar(), s.NewVar(), s.NewVar()
+	s.AddClause(NegLit(z)) // z is forced false
+	s.Hint(PosLit(y))
+	s.Hint(PosLit(z))
+	if st := s.Solve(); st != Sat {
+		t.Fatalf("got %v, want SAT", st)
+	}
+	if s.Model(x) || !s.Model(y) || s.Model(z) {
+		t.Fatalf("model x=%v y=%v z=%v, want x=false (default phase), y=true (hinted), z=false (forced)",
+			s.Model(x), s.Model(y), s.Model(z))
+	}
+
+	u := php(4)
+	for v := Var(1); int(v) <= u.NumVariables(); v++ {
+		u.Hint(PosLit(v))
+	}
+	if st := u.Solve(); st != Unsat {
+		t.Fatalf("hinted pigeonhole: got %v, want UNSAT", st)
+	}
+}
