@@ -55,9 +55,10 @@ fuzz:
 race-parallel:
 	$(GO) test -race -count 1 -run Parallel ./internal/sat ./internal/opt ./internal/core ./internal/baseline
 
-## bench: the solver micro-benchmarks (hooks disabled), for regression spotting.
+## bench: the solver and solver-intake micro-benchmarks (hooks disabled),
+## for regression spotting.
 bench:
-	$(GO) test -bench . -benchtime 2x -run '^$$' ./internal/sat
+	$(GO) test -bench . -benchtime 2x -run '^$$' ./internal/sat ./internal/bv
 
 ## bench-json: run the top-level paper benchmarks once and write a dated
 ## machine-readable data point for the performance trajectory. The newest

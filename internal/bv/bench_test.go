@@ -12,9 +12,10 @@ import (
 
 // BenchmarkCompileRing measures solver intake on the job service's typical
 // formula: loadgen's default ring (2 ECUs, 4 tasks, generator seed 1),
-// encoded for minimum ΣTRT and rewritten to triplets once, then
-// bit-blasted into a fresh solver on every iteration. Its allocations are
-// dominated by NewVar, AddClause and AddPB.
+// encoded for minimum TRT (the service's objective) and rewritten to
+// triplets once, then bit-blasted into a fresh solver on every iteration:
+// the circuit is recorded in a batch and loaded into the solver at its
+// final size.
 func BenchmarkCompileRing(b *testing.B) {
 	o := workload.T43Options()
 	o.Seed = 1

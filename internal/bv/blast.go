@@ -48,16 +48,25 @@ type Options struct {
 
 // Blaster holds the correspondence between triplet-level variables and
 // solver literals and knows how to decode models.
+//
+// The blaster never calls the solver while it builds a circuit: it
+// records every variable, clause and PB constraint in a sat.Batch and
+// hands the whole batch to sat.Solver.Load once the circuit is complete —
+// at the end of BlastWith for the formula, and at the end of each
+// CmpConstLit call for a probe circuit. The batch is dropped right after
+// its Load, so it never outlives the call that built it.
 type Blaster struct {
 	S    *sat.Solver
 	Tr   *ir.Triplets
 	opts Options
 
+	out *sat.Batch // pending emission; nil between calls
+
 	vecs  [][]sat.Lit // per triplet integer variable, little-endian signed
 	bools []sat.Lit   // per triplet Boolean variable
 	lTrue sat.Lit     // literal fixed true
 
-	cmpConstMemo map[string]sat.Lit
+	cmpConstMemo map[cmpConstKey]sat.Lit
 
 	// Structural-hashing state (nil cache means the legacy path).
 	cache map[gateKey]sat.Lit
@@ -87,54 +96,56 @@ func Blast(s *sat.Solver, tr *ir.Triplets) (*Blaster, error) {
 
 // BlastWith is Blast with explicit encoding options.
 func BlastWith(s *sat.Solver, tr *ir.Triplets, opts Options) (*Blaster, error) {
-	b := &Blaster{S: s, Tr: tr, opts: opts, cmpConstMemo: map[string]sat.Lit{}}
+	b := &Blaster{S: s, Tr: tr, opts: opts, cmpConstMemo: map[cmpConstKey]sat.Lit{}}
+	b.out = sat.NewBatch(s)
 	if tr.Unsat {
-		if err := s.AddClause(); err != nil {
-			return nil, err
-		}
-		return b, nil
+		b.out.AddClause()
+		return b, b.load()
 	}
-	b.lTrue = sat.PosLit(s.NewVar())
-	if err := s.AddClause(b.lTrue); err != nil {
-		return nil, err
-	}
+	b.lTrue = b.newLit()
+	b.out.AddClause(b.lTrue)
+	var err error
 	if opts.DisableHashing {
-		return b, b.blastLegacy()
+		err = b.blastLegacy()
+	} else {
+		b.cache = make(map[gateKey]sat.Lit)
+		err = b.blastHashed()
 	}
-	b.cache = make(map[gateKey]sat.Lit)
-	return b, b.blastHashed()
+	if err != nil {
+		b.out = nil
+		return b, err
+	}
+	return b, b.load()
 }
+
+// load hands the pending batch to the solver and drops it.
+func (b *Blaster) load() error {
+	err := b.S.Load(b.out)
+	b.out = nil
+	return err
+}
+
+// newLit records a fresh variable and returns its positive literal.
+func (b *Blaster) newLit() sat.Lit { return sat.PosLit(b.out.NewVar()) }
 
 // blastLegacy is the pre-hashing encoding pass: every triplet variable
 // gets a fresh solver vector/literal up front and every definition is a
 // fresh circuit equated to it.
 func (b *Blaster) blastLegacy() error {
-	s, tr := b.S, b.Tr
+	tr := b.Tr
 	b.bools = make([]sat.Lit, len(tr.BoolNames))
 	for i := range tr.BoolNames {
-		b.bools[i] = sat.PosLit(s.NewVar())
+		b.bools[i] = b.newLit()
 	}
 	b.vecs = make([][]sat.Lit, len(tr.Ints))
 	for i, info := range tr.Ints {
 		w := widthFor(info.Lo, info.Hi)
 		vec := make([]sat.Lit, w)
 		for j := range vec {
-			vec[j] = sat.PosLit(s.NewVar())
+			vec[j] = b.newLit()
 		}
 		b.vecs[i] = vec
-		// Range constraints lo ≤ v ≤ hi, skipped when the width is exact.
-		min := int64(-1) << (w - 1)
-		max := -min - 1
-		if info.Lo > min {
-			if err := b.assertCmpConst(vec, info.Lo, true); err != nil {
-				return err
-			}
-		}
-		if info.Hi < max {
-			if err := b.assertCmpConst(vec, info.Hi, false); err != nil {
-				return err
-			}
-		}
+		b.rangeAsserts(vec, info)
 	}
 
 	for _, d := range tr.IntDefs {
@@ -153,9 +164,7 @@ func (b *Blaster) blastLegacy() error {
 		}
 	}
 	for _, r := range tr.Roots {
-		if err := s.AddClause(b.blit(r)); err != nil {
-			return err
-		}
+		b.out.AddClause(b.blit(r))
 	}
 	return nil
 }
@@ -204,84 +213,66 @@ func signExtend(v []sat.Lit, w int) []sat.Lit {
 // fullAdder constrains s and cout to be the sum and carry of x+y+cin,
 // using the paper's PB axiomatization for the carry (eq. 19) and a CNF
 // parity axiomatization for the sum bit.
-func (b *Blaster) fullAdder(s, cout, x, y, cin sat.Lit) error {
-	if err := b.majGate(cout, x, y, cin); err != nil {
-		return err
-	}
-	return b.xor3Gate(s, x, y, cin)
+func (b *Blaster) fullAdder(s, cout, x, y, cin sat.Lit) {
+	b.majGate(cout, x, y, cin)
+	b.xor3Gate(s, x, y, cin)
 }
 
 // majGate constrains cout ⇔ maj(x, y, cin): the paper's PB pair (eq. 19)
 // by default, or the 6-clause CNF majority gate in the ablation mode.
-func (b *Blaster) majGate(cout, x, y, cin sat.Lit) error {
+func (b *Blaster) majGate(cout, x, y, cin sat.Lit) {
 	if b.opts.CarryAsCNF {
 		// Plain CNF majority gate (ablation mode): 6 ternary clauses.
-		for _, cl := range [][3]sat.Lit{
-			{x.Not(), y.Not(), cout},
-			{x, y, cout.Not()},
-			{x.Not(), cin.Not(), cout},
-			{x, cin, cout.Not()},
-			{y.Not(), cin.Not(), cout},
-			{y, cin, cout.Not()},
-		} {
-			if err := b.S.AddClause(cl[0], cl[1], cl[2]); err != nil {
-				return err
-			}
-		}
-	} else {
-		// The paper's PB pair (eq. 19):
-		// 2cout + ¬x + ¬y + ¬cin ≥ 2  ∧  2¬cout + x + y + cin ≥ 2.
-		if err := b.S.AddPB([]sat.PBTerm{{Coef: 2, Lit: cout}, {Coef: 1, Lit: x.Not()}, {Coef: 1, Lit: y.Not()}, {Coef: 1, Lit: cin.Not()}}, 2); err != nil {
-			return err
-		}
-		if err := b.S.AddPB([]sat.PBTerm{{Coef: 2, Lit: cout.Not()}, {Coef: 1, Lit: x}, {Coef: 1, Lit: y}, {Coef: 1, Lit: cin}}, 2); err != nil {
-			return err
-		}
+		b.out.AddClause(x.Not(), y.Not(), cout)
+		b.out.AddClause(x, y, cout.Not())
+		b.out.AddClause(x.Not(), cin.Not(), cout)
+		b.out.AddClause(x, cin, cout.Not())
+		b.out.AddClause(y.Not(), cin.Not(), cout)
+		b.out.AddClause(y, cin, cout.Not())
+		return
 	}
-	return nil
+	// The paper's PB pair (eq. 19):
+	// 2cout + ¬x + ¬y + ¬cin ≥ 2  ∧  2¬cout + x + y + cin ≥ 2.
+	b.out.AddPB([]sat.PBTerm{{Coef: 2, Lit: cout}, {Coef: 1, Lit: x.Not()}, {Coef: 1, Lit: y.Not()}, {Coef: 1, Lit: cin.Not()}}, 2)
+	b.out.AddPB([]sat.PBTerm{{Coef: 2, Lit: cout.Not()}, {Coef: 1, Lit: x}, {Coef: 1, Lit: y}, {Coef: 1, Lit: cin}}, 2)
 }
 
 // xor3Gate constrains s ⇔ x ⊕ y ⊕ cin, as 8 clauses: for every valuation
 // pattern, rule out the wrong sum bit.
-func (b *Blaster) xor3Gate(s, x, y, cin sat.Lit) error {
+func (b *Blaster) xor3Gate(s, x, y, cin sat.Lit) {
 	in := [3]sat.Lit{x, y, cin}
 	for mask := 0; mask < 8; mask++ {
 		parity := (mask&1 ^ mask>>1&1 ^ mask>>2&1) == 1
-		clause := make([]sat.Lit, 0, 4)
+		var clause [4]sat.Lit
 		for i, l := range in {
 			if mask&(1<<i) != 0 {
-				clause = append(clause, l.Not()) // assumed true
+				clause[i] = l.Not() // assumed true
 			} else {
-				clause = append(clause, l)
+				clause[i] = l
 			}
 		}
 		if parity {
-			clause = append(clause, s)
+			clause[3] = s
 		} else {
-			clause = append(clause, s.Not())
+			clause[3] = s.Not()
 		}
-		if err := b.S.AddClause(clause...); err != nil {
-			return err
-		}
+		b.out.AddClause(clause[:]...)
 	}
-	return nil
 }
 
 // addVec returns a fresh vector constrained to x + y + cin (mod 2^w),
 // w = len(x) = len(y).
-func (b *Blaster) addVec(x, y []sat.Lit, cin sat.Lit) ([]sat.Lit, error) {
+func (b *Blaster) addVec(x, y []sat.Lit, cin sat.Lit) []sat.Lit {
 	w := len(x)
 	out := make([]sat.Lit, w)
 	carry := cin
 	for i := 0; i < w; i++ {
-		out[i] = sat.PosLit(b.S.NewVar())
-		cout := sat.PosLit(b.S.NewVar()) // final carry is left dangling
-		if err := b.fullAdder(out[i], cout, x[i], y[i], carry); err != nil {
-			return nil, err
-		}
+		out[i] = b.newLit()
+		cout := b.newLit() // final carry is left dangling
+		b.fullAdder(out[i], cout, x[i], y[i], carry)
 		carry = cout
 	}
-	return out, nil
+	return out
 }
 
 func negVec(v []sat.Lit) []sat.Lit {
@@ -293,34 +284,27 @@ func negVec(v []sat.Lit) []sat.Lit {
 }
 
 // subVec returns x - y (mod 2^w) via x + ¬y + 1.
-func (b *Blaster) subVec(x, y []sat.Lit) ([]sat.Lit, error) {
+func (b *Blaster) subVec(x, y []sat.Lit) []sat.Lit {
 	return b.addVec(x, negVec(y), b.lTrue)
 }
 
 // andGate returns a fresh literal g with g ⇔ x ∧ y.
-func (b *Blaster) andGate(x, y sat.Lit) (sat.Lit, error) {
-	g := sat.PosLit(b.S.NewVar())
-	if err := b.S.AddClause(g.Not(), x); err != nil {
-		return g, err
-	}
-	if err := b.S.AddClause(g.Not(), y); err != nil {
-		return g, err
-	}
-	return g, b.S.AddClause(g, x.Not(), y.Not())
+func (b *Blaster) andGate(x, y sat.Lit) sat.Lit {
+	g := b.newLit()
+	b.out.AddClause(g.Not(), x)
+	b.out.AddClause(g.Not(), y)
+	b.out.AddClause(g, x.Not(), y.Not())
+	return g
 }
 
 // mulVec returns a fresh vector constrained to x*y (mod 2^w) using the
 // shift-add scheme over partial products.
-func (b *Blaster) mulVec(x, y []sat.Lit) ([]sat.Lit, error) {
+func (b *Blaster) mulVec(x, y []sat.Lit) []sat.Lit {
 	w := len(x)
 	// acc starts as the first partial product: x masked by y[0].
 	acc := make([]sat.Lit, w)
 	for i := 0; i < w; i++ {
-		g, err := b.andGate(x[i], y[0])
-		if err != nil {
-			return nil, err
-		}
-		acc[i] = g
+		acc[i] = b.andGate(x[i], y[0])
 	}
 	for j := 1; j < w; j++ {
 		// Partial product row j: (x << j) masked by y[j]; only bits j..w-1
@@ -330,38 +314,24 @@ func (b *Blaster) mulVec(x, y []sat.Lit) ([]sat.Lit, error) {
 			row[i] = b.lTrue.Not()
 		}
 		for i := j; i < w; i++ {
-			g, err := b.andGate(x[i-j], y[j])
-			if err != nil {
-				return nil, err
-			}
-			row[i] = g
+			row[i] = b.andGate(x[i-j], y[j])
 		}
-		var err error
-		acc, err = b.addVec(acc, row, b.lTrue.Not())
-		if err != nil {
-			return nil, err
-		}
+		acc = b.addVec(acc, row, b.lTrue.Not())
 	}
-	return acc, nil
+	return acc
 }
 
 // equateVec asserts x = y bitwise (same width).
-func (b *Blaster) equateVec(x, y []sat.Lit) error {
+func (b *Blaster) equateVec(x, y []sat.Lit) {
 	for i := range x {
-		if err := b.S.AddClause(x[i].Not(), y[i]); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(x[i], y[i].Not()); err != nil {
-			return err
-		}
+		b.iffLits(x[i], y[i])
 	}
-	return nil
 }
 
 // mulConstVec multiplies a variable vector by a constant using shift-adds
 // over the constant's set bits only — no AND-gate partial-product matrix.
 // Negative constants multiply by |c| and then negate (0 − v).
-func (b *Blaster) mulConstVec(x []sat.Lit, c int64, w int) ([]sat.Lit, error) {
+func (b *Blaster) mulConstVec(x []sat.Lit, c int64, w int) []sat.Lit {
 	neg := false
 	if c < 0 {
 		neg = true
@@ -381,16 +351,12 @@ func (b *Blaster) mulConstVec(x []sat.Lit, c int64, w int) ([]sat.Lit, error) {
 		for i := j; i < w; i++ {
 			row[i] = x[i-j]
 		}
-		var err error
-		acc, err = b.addVec(acc, row, b.lTrue.Not())
-		if err != nil {
-			return nil, err
-		}
+		acc = b.addVec(acc, row, b.lTrue.Not())
 	}
 	if neg {
 		return b.subVec(zero, acc)
 	}
-	return acc, nil
+	return acc
 }
 
 func (b *Blaster) blastIntDef(d ir.IntDef) error {
@@ -399,47 +365,33 @@ func (b *Blaster) blastIntDef(d ir.IntDef) error {
 	x := b.atomVec(d.A, w)
 	y := b.atomVec(d.B, w)
 	var out []sat.Lit
-	var err error
 	switch d.Op {
 	case ir.OpAdd:
-		out, err = b.addVec(x, y, b.lTrue.Not())
+		out = b.addVec(x, y, b.lTrue.Not())
 	case ir.OpSub:
-		out, err = b.subVec(x, y)
+		out = b.subVec(x, y)
 	case ir.OpMul:
 		switch {
 		case d.A.IsConst:
-			out, err = b.mulConstVec(y, d.A.Const, w)
+			out = b.mulConstVec(y, d.A.Const, w)
 		case d.B.IsConst:
-			out, err = b.mulConstVec(x, d.B.Const, w)
+			out = b.mulConstVec(x, d.B.Const, w)
 		default:
-			out, err = b.mulVec(x, y)
+			out = b.mulVec(x, y)
 		}
 	default:
 		return fmt.Errorf("bv: unknown arithmetic operator %v", d.Op)
 	}
-	if err != nil {
-		return err
-	}
-	return b.equateVec(res, out)
+	b.equateVec(res, out)
+	return nil
 }
 
 // signBitOfDiff returns a literal equal to the sign bit of (x - y) computed
 // at width w+1 so the subtraction cannot wrap.
-func (b *Blaster) signBitOfDiff(xa, ya ir.Atom) (sat.Lit, error) {
-	wx := b.atomWidth(xa)
-	wy := b.atomWidth(ya)
-	w := wx
-	if wy > w {
-		w = wy
-	}
-	w++
-	x := b.atomVec(xa, w)
-	y := b.atomVec(ya, w)
-	d, err := b.subVec(x, y)
-	if err != nil {
-		return sat.LitUndef, err
-	}
-	return d[w-1], nil
+func (b *Blaster) signBitOfDiff(xa, ya ir.Atom) sat.Lit {
+	w := max(b.atomWidth(xa), b.atomWidth(ya)) + 1
+	d := b.subVec(b.atomVec(xa, w), b.atomVec(ya, w))
+	return d[w-1]
 }
 
 func (b *Blaster) atomWidth(a ir.Atom) int {
@@ -450,46 +402,33 @@ func (b *Blaster) atomWidth(a ir.Atom) int {
 }
 
 // eqLit returns a fresh literal ⇔ (x = y) over equal-width vectors.
-func (b *Blaster) eqLit(x, y []sat.Lit) (sat.Lit, error) {
-	p := sat.PosLit(b.S.NewVar())
+func (b *Blaster) eqLit(x, y []sat.Lit) sat.Lit {
+	p := b.newLit()
 	// p → (x_i ⇔ y_i) for all i; ¬p → some difference: (p ∨ diff_1 ∨ …).
 	diffClause := []sat.Lit{p}
 	for i := range x {
-		if err := b.S.AddClause(p.Not(), x[i].Not(), y[i]); err != nil {
-			return p, err
-		}
-		if err := b.S.AddClause(p.Not(), x[i], y[i].Not()); err != nil {
-			return p, err
-		}
+		b.out.AddClause(p.Not(), x[i].Not(), y[i])
+		b.out.AddClause(p.Not(), x[i], y[i].Not())
 		// diff_i ⇔ x_i ⊕ y_i.
-		d := sat.PosLit(b.S.NewVar())
-		if err := b.xorGate(d, x[i], y[i]); err != nil {
-			return p, err
-		}
+		d := b.newLit()
+		b.xorGate(d, x[i], y[i])
 		diffClause = append(diffClause, d)
 	}
-	return p, b.S.AddClause(diffClause...)
+	b.out.AddClause(diffClause...)
+	return p
 }
 
-func (b *Blaster) xorGate(g, x, y sat.Lit) error {
-	if err := b.S.AddClause(g.Not(), x, y); err != nil {
-		return err
-	}
-	if err := b.S.AddClause(g.Not(), x.Not(), y.Not()); err != nil {
-		return err
-	}
-	if err := b.S.AddClause(g, x.Not(), y); err != nil {
-		return err
-	}
-	return b.S.AddClause(g, x, y.Not())
+func (b *Blaster) xorGate(g, x, y sat.Lit) {
+	b.out.AddClause(g.Not(), x, y)
+	b.out.AddClause(g.Not(), x.Not(), y.Not())
+	b.out.AddClause(g, x.Not(), y)
+	b.out.AddClause(g, x, y.Not())
 }
 
 // iffLits asserts p ⇔ q.
-func (b *Blaster) iffLits(p, q sat.Lit) error {
-	if err := b.S.AddClause(p.Not(), q); err != nil {
-		return err
-	}
-	return b.S.AddClause(p, q.Not())
+func (b *Blaster) iffLits(p, q sat.Lit) {
+	b.out.AddClause(p.Not(), q)
+	b.out.AddClause(p, q.Not())
 }
 
 func (b *Blaster) blastCmpDef(d ir.CmpDef) error {
@@ -497,33 +436,20 @@ func (b *Blaster) blastCmpDef(d ir.CmpDef) error {
 	switch d.Op {
 	case ir.OpLE:
 		// a ≤ b ⇔ ¬(b < a) ⇔ ¬sign(b - a).
-		sgn, err := b.signBitOfDiff(d.B, d.A)
-		if err != nil {
-			return err
-		}
-		return b.iffLits(p, sgn.Not())
+		b.iffLits(p, b.signBitOfDiff(d.B, d.A).Not())
 	case ir.OpLT:
-		sgn, err := b.signBitOfDiff(d.A, d.B)
-		if err != nil {
-			return err
-		}
-		return b.iffLits(p, sgn)
+		b.iffLits(p, b.signBitOfDiff(d.A, d.B))
 	case ir.OpEQ, ir.OpNE:
-		wx, wy := b.atomWidth(d.A), b.atomWidth(d.B)
-		w := wx
-		if wy > w {
-			w = wy
+		w := max(b.atomWidth(d.A), b.atomWidth(d.B))
+		e := b.eqLit(b.atomVec(d.A, w), b.atomVec(d.B, w))
+		if d.Op == ir.OpNE {
+			e = e.Not()
 		}
-		e, err := b.eqLit(b.atomVec(d.A, w), b.atomVec(d.B, w))
-		if err != nil {
-			return err
-		}
-		if d.Op == ir.OpEQ {
-			return b.iffLits(p, e)
-		}
-		return b.iffLits(p, e.Not())
+		b.iffLits(p, e)
+	default:
+		return fmt.Errorf("bv: unknown relational operator %v", d.Op)
 	}
-	return fmt.Errorf("bv: unknown relational operator %v", d.Op)
+	return nil
 }
 
 func (b *Blaster) blastGate(g ir.Gate) error {
@@ -532,69 +458,56 @@ func (b *Blaster) blastGate(g ir.Gate) error {
 	r := b.blit(g.R)
 	switch g.Op {
 	case ir.OpAnd:
-		if err := b.S.AddClause(p.Not(), q); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(p.Not(), r); err != nil {
-			return err
-		}
-		return b.S.AddClause(p, q.Not(), r.Not())
+		b.out.AddClause(p.Not(), q)
+		b.out.AddClause(p.Not(), r)
+		b.out.AddClause(p, q.Not(), r.Not())
 	case ir.OpOr:
-		if err := b.S.AddClause(p, q.Not()); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(p, r.Not()); err != nil {
-			return err
-		}
-		return b.S.AddClause(p.Not(), q, r)
+		b.out.AddClause(p, q.Not())
+		b.out.AddClause(p, r.Not())
+		b.out.AddClause(p.Not(), q, r)
 	case ir.OpImply:
-		if err := b.S.AddClause(p.Not(), q.Not(), r); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(p, q); err != nil {
-			return err
-		}
-		return b.S.AddClause(p, r.Not())
+		b.out.AddClause(p.Not(), q.Not(), r)
+		b.out.AddClause(p, q)
+		b.out.AddClause(p, r.Not())
 	case ir.OpIff:
-		if err := b.S.AddClause(p.Not(), q.Not(), r); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(p.Not(), q, r.Not()); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(p, q, r); err != nil {
-			return err
-		}
-		return b.S.AddClause(p, q.Not(), r.Not())
+		b.out.AddClause(p.Not(), q.Not(), r)
+		b.out.AddClause(p.Not(), q, r.Not())
+		b.out.AddClause(p, q, r)
+		b.out.AddClause(p, q.Not(), r.Not())
 	case ir.OpXor:
-		return b.xorGate(p, q, r)
+		b.xorGate(p, q, r)
+	default:
+		return fmt.Errorf("bv: unknown gate %v", g.Op)
 	}
-	return fmt.Errorf("bv: unknown gate %v", g.Op)
+	return nil
 }
 
 // assertCmpConst asserts v ≥ k (ge=true) or v ≤ k (ge=false) against a
-// constant, using a subtraction-free magnitude comparator.
-func (b *Blaster) assertCmpConst(vec []sat.Lit, k int64, ge bool) error {
+// constant.
+func (b *Blaster) assertCmpConst(vec []sat.Lit, k int64, ge bool) {
 	if b.hashed() {
-		return b.assertCmpConstH(vec, k, ge)
+		b.assertCmpConstH(vec, k, ge)
+		return
 	}
-	// Build the comparator literal and assert it. The comparator against a
-	// constant is a simple suffix scan over bits; to keep the code small we
-	// reuse the generic subtract-based comparator here.
+	// The legacy path reuses the generic subtract-based comparator: the
+	// sign bit of v − k (ge) or k − v at width w+1 must be clear.
 	w := len(vec) + 1
 	x := signExtend(vec, w)
 	y := b.constVec(k, w)
 	var d []sat.Lit
-	var err error
 	if ge {
-		d, err = b.subVec(x, y) // v - k ≥ 0 ⇔ ¬sign
+		d = b.subVec(x, y) // v - k ≥ 0 ⇔ ¬sign
 	} else {
-		d, err = b.subVec(y, x) // k - v ≥ 0 ⇔ ¬sign
+		d = b.subVec(y, x) // k - v ≥ 0 ⇔ ¬sign
 	}
-	if err != nil {
-		return err
-	}
-	return b.S.AddClause(d[w-1].Not())
+	b.out.AddClause(d[w-1].Not())
+}
+
+// cmpConstKey memoizes CmpConstLit: integer variable, bound, direction.
+type cmpConstKey struct {
+	id int
+	k  int64
+	le bool
 }
 
 // CmpConstLit returns (building on first use) a literal that is true iff
@@ -602,33 +515,30 @@ func (b *Blaster) assertCmpConst(vec []sat.Lit, k int64, ge bool) error {
 // otherwise. The optimizer passes these literals as assumptions to confine
 // the objective during binary search without poisoning the clause database.
 func (b *Blaster) CmpConstLit(id int, k int64, le bool) (sat.Lit, error) {
-	key := fmt.Sprintf("%d|%d|%t", id, k, le)
+	key := cmpConstKey{id, k, le}
 	if l, ok := b.cmpConstMemo[key]; ok {
 		return l, nil
 	}
+	b.out = sat.NewBatch(b.S)
+	var l sat.Lit
 	if b.hashed() {
-		l, err := b.cmpConstLitH(id, k, le)
-		if err != nil {
-			return sat.LitUndef, err
-		}
-		b.cmpConstMemo[key] = l
-		return l, nil
-	}
-	vec := b.vecs[id]
-	w := len(vec) + 1
-	x := signExtend(vec, w)
-	y := b.constVec(k, w)
-	var d []sat.Lit
-	var err error
-	if le {
-		d, err = b.subVec(y, x) // k - v ≥ 0
+		l = b.cmpConstLitH(id, k, le)
 	} else {
-		d, err = b.subVec(x, y) // v - k ≥ 0
+		vec := b.vecs[id]
+		w := len(vec) + 1
+		x := signExtend(vec, w)
+		y := b.constVec(k, w)
+		var d []sat.Lit
+		if le {
+			d = b.subVec(y, x) // k - v ≥ 0
+		} else {
+			d = b.subVec(x, y) // v - k ≥ 0
+		}
+		l = d[w-1].Not()
 	}
-	if err != nil {
+	if err := b.load(); err != nil {
 		return sat.LitUndef, err
 	}
-	l := d[w-1].Not()
 	b.cmpConstMemo[key] = l
 	return l, nil
 }

@@ -89,75 +89,65 @@ type gateKey struct {
 
 // andLit returns a literal ⇔ x ∧ y, folding constants and identities and
 // reusing a previously emitted gate when one matches.
-func (b *Blaster) andLit(x, y sat.Lit) (sat.Lit, error) {
+func (b *Blaster) andLit(x, y sat.Lit) sat.Lit {
 	b.stats.GatesRequested++
 	lT := b.lTrue
 	lF := lT.Not()
 	switch {
 	case x == lF || y == lF || x == y.Not():
 		b.stats.GatesFolded++
-		return lF, nil
+		return lF
 	case x == lT || x == y:
 		b.stats.GatesFolded++
-		return y, nil
+		return y
 	case y == lT:
 		b.stats.GatesFolded++
-		return x, nil
+		return x
 	}
 	if y < x {
 		x, y = y, x
 	}
 	k := gateKey{op: gAnd, a: x, b: y}
 	if g, ok := b.cache[k]; ok {
-		return g, nil
+		return g
 	}
-	g := sat.PosLit(b.S.NewVar())
+	g := b.andGate(x, y)
 	b.stats.GatesEmitted++
-	if err := b.S.AddClause(g.Not(), x); err != nil {
-		return g, err
-	}
-	if err := b.S.AddClause(g.Not(), y); err != nil {
-		return g, err
-	}
-	if err := b.S.AddClause(g, x.Not(), y.Not()); err != nil {
-		return g, err
-	}
 	b.cache[k] = g
-	return g, nil
+	return g
 }
 
 // orLit returns a literal ⇔ x ∨ y via De Morgan, so an OR and the AND of
 // the complemented operands share one gate.
-func (b *Blaster) orLit(x, y sat.Lit) (sat.Lit, error) {
-	g, err := b.andLit(x.Not(), y.Not())
-	return g.Not(), err
+func (b *Blaster) orLit(x, y sat.Lit) sat.Lit {
+	return b.andLit(x.Not(), y.Not()).Not()
 }
 
 // xorLit returns a literal ⇔ x ⊕ y. Operand signs are stripped into the
 // output sign before cache lookup: x ⊕ y = (x₀ ⊕ y₀) ⊕ sign(x) ⊕ sign(y).
-func (b *Blaster) xorLit(x, y sat.Lit) (sat.Lit, error) {
+func (b *Blaster) xorLit(x, y sat.Lit) sat.Lit {
 	b.stats.GatesRequested++
 	lT := b.lTrue
 	lF := lT.Not()
 	switch {
 	case x == y:
 		b.stats.GatesFolded++
-		return lF, nil
+		return lF
 	case x == y.Not():
 		b.stats.GatesFolded++
-		return lT, nil
+		return lT
 	case x == lT:
 		b.stats.GatesFolded++
-		return y.Not(), nil
+		return y.Not()
 	case x == lF:
 		b.stats.GatesFolded++
-		return y, nil
+		return y
 	case y == lT:
 		b.stats.GatesFolded++
-		return x.Not(), nil
+		return x.Not()
 	case y == lF:
 		b.stats.GatesFolded++
-		return x, nil
+		return x
 	}
 	neg := x.Sign() != y.Sign()
 	x0, y0 := x&^1, y&^1
@@ -167,36 +157,31 @@ func (b *Blaster) xorLit(x, y sat.Lit) (sat.Lit, error) {
 	k := gateKey{op: gXor, a: x0, b: y0}
 	g, ok := b.cache[k]
 	if !ok {
-		g = sat.PosLit(b.S.NewVar())
+		g = b.newLit()
 		b.stats.GatesEmitted++
-		if err := b.xorGate(g, x0, y0); err != nil {
-			return g, err
-		}
+		b.xorGate(g, x0, y0)
 		b.cache[k] = g
 	}
 	if neg {
-		return g.Not(), nil
+		return g.Not()
 	}
-	return g, nil
+	return g
 }
 
 // xor3Lit returns a literal ⇔ x ⊕ y ⊕ z (the full-adder sum bit).
 // Constant or same-variable operands collapse to a two-input XOR or a
 // wire; otherwise signs are stripped into the output as in xorLit.
-func (b *Blaster) xor3Lit(x, y, z sat.Lit) (sat.Lit, error) {
+func (b *Blaster) xor3Lit(x, y, z sat.Lit) sat.Lit {
 	b.stats.GatesRequested++
 	lT := b.lTrue
 	lF := lT.Not()
-	two := func(p, q sat.Lit, flip bool) (sat.Lit, error) {
+	two := func(p, q sat.Lit, flip bool) sat.Lit {
 		b.stats.GatesFolded++
-		g, err := b.xorLit(p, q)
-		if err != nil {
-			return g, err
-		}
+		g := b.xorLit(p, q)
 		if flip {
 			g = g.Not()
 		}
-		return g, nil
+		return g
 	}
 	switch {
 	case x == lT || x == lF:
@@ -208,21 +193,21 @@ func (b *Blaster) xor3Lit(x, y, z sat.Lit) (sat.Lit, error) {
 	case x.Var() == y.Var():
 		b.stats.GatesFolded++
 		if x == y {
-			return z, nil
+			return z
 		}
-		return z.Not(), nil
+		return z.Not()
 	case x.Var() == z.Var():
 		b.stats.GatesFolded++
 		if x == z {
-			return y, nil
+			return y
 		}
-		return y.Not(), nil
+		return y.Not()
 	case y.Var() == z.Var():
 		b.stats.GatesFolded++
 		if y == z {
-			return x, nil
+			return x
 		}
-		return x.Not(), nil
+		return x.Not()
 	}
 	neg := (int32(x) ^ int32(y) ^ int32(z)) & 1
 	a, c2, c3 := x&^1, y&^1, z&^1
@@ -238,23 +223,21 @@ func (b *Blaster) xor3Lit(x, y, z sat.Lit) (sat.Lit, error) {
 	k := gateKey{op: gXor3, a: a, b: c2, c: c3}
 	g, ok := b.cache[k]
 	if !ok {
-		g = sat.PosLit(b.S.NewVar())
+		g = b.newLit()
 		b.stats.GatesEmitted++
-		if err := b.xor3Gate(g, a, c2, c3); err != nil {
-			return g, err
-		}
+		b.xor3Gate(g, a, c2, c3)
 		b.cache[k] = g
 	}
 	if neg == 1 {
-		return g.Not(), nil
+		return g.Not()
 	}
-	return g, nil
+	return g
 }
 
 // majLit returns a literal ⇔ maj(x, y, z) (the full-adder carry bit).
 // A constant operand reduces it to AND/OR; a repeated or complementary
 // operand pair reduces it to a wire.
-func (b *Blaster) majLit(x, y, z sat.Lit) (sat.Lit, error) {
+func (b *Blaster) majLit(x, y, z sat.Lit) sat.Lit {
 	b.stats.GatesRequested++
 	lT := b.lTrue
 	lF := lT.Not()
@@ -279,22 +262,22 @@ func (b *Blaster) majLit(x, y, z sat.Lit) (sat.Lit, error) {
 		return b.andLit(x, y)
 	case x == y:
 		b.stats.GatesFolded++
-		return x, nil
+		return x
 	case x == y.Not():
 		b.stats.GatesFolded++
-		return z, nil
+		return z
 	case x == z:
 		b.stats.GatesFolded++
-		return x, nil
+		return x
 	case x == z.Not():
 		b.stats.GatesFolded++
-		return y, nil
+		return y
 	case y == z:
 		b.stats.GatesFolded++
-		return y, nil
+		return y
 	case y == z.Not():
 		b.stats.GatesFolded++
-		return x, nil
+		return x
 	}
 	// maj is symmetric: sort the operands for a canonical key.
 	if y < x {
@@ -308,52 +291,39 @@ func (b *Blaster) majLit(x, y, z sat.Lit) (sat.Lit, error) {
 	}
 	k := gateKey{op: gMaj, a: x, b: y, c: z}
 	if g, ok := b.cache[k]; ok {
-		return g, nil
+		return g
 	}
-	g := sat.PosLit(b.S.NewVar())
+	g := b.newLit()
 	b.stats.GatesEmitted++
-	if err := b.majGate(g, x, y, z); err != nil {
-		return g, err
-	}
+	b.majGate(g, x, y, z)
 	b.cache[k] = g
-	return g, nil
+	return g
 }
 
 // addVecH returns x + y + cin (mod 2^w) as a wire vector; bits are gate
 // outputs (or constants) rather than fresh equated variables.
-func (b *Blaster) addVecH(x, y []sat.Lit, cin sat.Lit) ([]sat.Lit, error) {
+func (b *Blaster) addVecH(x, y []sat.Lit, cin sat.Lit) []sat.Lit {
 	out := make([]sat.Lit, len(x))
 	c := cin
-	var err error
 	for i := range x {
-		out[i], err = b.xor3Lit(x[i], y[i], c)
-		if err != nil {
-			return nil, err
-		}
-		c, err = b.majLit(x[i], y[i], c)
-		if err != nil {
-			return nil, err
-		}
+		out[i] = b.xor3Lit(x[i], y[i], c)
+		c = b.majLit(x[i], y[i], c)
 	}
-	return out, nil
+	return out
 }
 
 // subVecH returns x − y (mod 2^w) via x + ¬y + 1.
-func (b *Blaster) subVecH(x, y []sat.Lit) ([]sat.Lit, error) {
+func (b *Blaster) subVecH(x, y []sat.Lit) []sat.Lit {
 	return b.addVecH(x, negVec(y), b.lTrue)
 }
 
 // mulVecH is the shift-add multiplier over hashed partial products.
-func (b *Blaster) mulVecH(x, y []sat.Lit) ([]sat.Lit, error) {
+func (b *Blaster) mulVecH(x, y []sat.Lit) []sat.Lit {
 	w := len(x)
 	lF := b.lTrue.Not()
 	acc := make([]sat.Lit, w)
-	var err error
 	for i := 0; i < w; i++ {
-		acc[i], err = b.andLit(x[i], y[0])
-		if err != nil {
-			return nil, err
-		}
+		acc[i] = b.andLit(x[i], y[0])
 	}
 	for j := 1; j < w; j++ {
 		row := make([]sat.Lit, w)
@@ -361,22 +331,16 @@ func (b *Blaster) mulVecH(x, y []sat.Lit) ([]sat.Lit, error) {
 			row[i] = lF
 		}
 		for i := j; i < w; i++ {
-			row[i], err = b.andLit(x[i-j], y[j])
-			if err != nil {
-				return nil, err
-			}
+			row[i] = b.andLit(x[i-j], y[j])
 		}
-		acc, err = b.addVecH(acc, row, lF)
-		if err != nil {
-			return nil, err
-		}
+		acc = b.addVecH(acc, row, lF)
 	}
-	return acc, nil
+	return acc
 }
 
 // mulConstVecH multiplies by a constant over the constant's set bits; the
 // initial zero accumulator and shifted-in zero bits fold away entirely.
-func (b *Blaster) mulConstVecH(x []sat.Lit, c int64, w int) ([]sat.Lit, error) {
+func (b *Blaster) mulConstVecH(x []sat.Lit, c int64, w int) []sat.Lit {
 	neg := false
 	if c < 0 {
 		neg = true
@@ -396,58 +360,39 @@ func (b *Blaster) mulConstVecH(x []sat.Lit, c int64, w int) ([]sat.Lit, error) {
 		for i := j; i < w; i++ {
 			row[i] = x[i-j]
 		}
-		var err error
-		acc, err = b.addVecH(acc, row, lF)
-		if err != nil {
-			return nil, err
-		}
+		acc = b.addVecH(acc, row, lF)
 	}
 	if neg {
 		return b.subVecH(zero, acc)
 	}
-	return acc, nil
+	return acc
 }
 
 // eqLitH returns a literal ⇔ (x = y) as an XNOR-AND chain; per-bit XORs
 // against constant operands fold to wires.
-func (b *Blaster) eqLitH(x, y []sat.Lit) (sat.Lit, error) {
+func (b *Blaster) eqLitH(x, y []sat.Lit) sat.Lit {
 	acc := b.lTrue
 	for i := range x {
-		d, err := b.xorLit(x[i], y[i])
-		if err != nil {
-			return sat.LitUndef, err
-		}
-		acc, err = b.andLit(acc, d.Not())
-		if err != nil {
-			return sat.LitUndef, err
-		}
+		acc = b.andLit(acc, b.xorLit(x[i], y[i]).Not())
 	}
-	return acc, nil
+	return acc
 }
 
 // signOfSubH returns the sign bit of x − y computed over the carry chain
 // only: the unused low sum bits of the subtraction are never materialized,
 // so a comparator costs one MAJ per bit plus one final XOR3.
-func (b *Blaster) signOfSubH(x, y []sat.Lit) (sat.Lit, error) {
+func (b *Blaster) signOfSubH(x, y []sat.Lit) sat.Lit {
 	w := len(x)
 	c := b.lTrue
-	var err error
 	for i := 0; i < w-1; i++ {
-		c, err = b.majLit(x[i], y[i].Not(), c)
-		if err != nil {
-			return sat.LitUndef, err
-		}
+		c = b.majLit(x[i], y[i].Not(), c)
 	}
 	return b.xor3Lit(x[w-1], y[w-1].Not(), c)
 }
 
 // signBitOfDiffH is signBitOfDiff over the carry-only subtractor.
-func (b *Blaster) signBitOfDiffH(xa, ya ir.Atom) (sat.Lit, error) {
-	w := b.atomWidth(xa)
-	if wy := b.atomWidth(ya); wy > w {
-		w = wy
-	}
-	w++
+func (b *Blaster) signBitOfDiffH(xa, ya ir.Atom) sat.Lit {
+	w := max(b.atomWidth(xa), b.atomWidth(ya)) + 1
 	return b.signOfSubH(b.atomVec(xa, w), b.atomVec(ya, w))
 }
 
@@ -455,19 +400,18 @@ func (b *Blaster) signBitOfDiffH(xa, ya ir.Atom) (sat.Lit, error) {
 // LSB→MSB chain over the offset-binary form (sign bit flipped, bound
 // shifted by 2^(w−1)): at each position the chain literal is a single
 // AND/OR gate, so bounds sharing low offset bits share chain prefixes.
-func (b *Blaster) ladderLE(vec []sat.Lit, k int64) (sat.Lit, error) {
+func (b *Blaster) ladderLE(vec []sat.Lit, k int64) sat.Lit {
 	w := len(vec)
 	min := int64(-1) << (w - 1)
 	max := -min - 1
 	if k >= max {
-		return b.lTrue, nil
+		return b.lTrue
 	}
 	if k < min {
-		return b.lTrue.Not(), nil
+		return b.lTrue.Not()
 	}
 	kb := uint64(k - min)
 	le := b.lTrue
-	var err error
 	for i := 0; i < w; i++ {
 		y := vec[i]
 		if i == w-1 {
@@ -475,15 +419,12 @@ func (b *Blaster) ladderLE(vec []sat.Lit, k int64) (sat.Lit, error) {
 		}
 		// v[0..i] ≤ kb[0..i] ⇔ (v_i < kb_i) ∨ (v_i = kb_i ∧ le_{i−1}).
 		if kb&(1<<uint(i)) != 0 {
-			le, err = b.orLit(y.Not(), le)
+			le = b.orLit(y.Not(), le)
 		} else {
-			le, err = b.andLit(y.Not(), le)
-		}
-		if err != nil {
-			return sat.LitUndef, err
+			le = b.andLit(y.Not(), le)
 		}
 	}
-	return le, nil
+	return le
 }
 
 // blastHashed is the structural-hashing encoding pass. It differs from the
@@ -509,7 +450,7 @@ func (b *Blaster) blastHashed() error {
 	b.bools = make([]sat.Lit, len(tr.BoolNames))
 	for i := range tr.BoolNames {
 		if !defBool[i] {
-			b.bools[i] = sat.PosLit(b.S.NewVar())
+			b.bools[i] = b.newLit()
 		}
 	}
 	b.vecs = make([][]sat.Lit, len(tr.Ints))
@@ -520,12 +461,10 @@ func (b *Blaster) blastHashed() error {
 		w := widthFor(info.Lo, info.Hi)
 		vec := make([]sat.Lit, w)
 		for j := range vec {
-			vec[j] = sat.PosLit(b.S.NewVar())
+			vec[j] = b.newLit()
 		}
 		b.vecs[i] = vec
-		if err := b.rangeAsserts(vec, info); err != nil {
-			return err
-		}
+		b.rangeAsserts(vec, info)
 	}
 	for _, d := range tr.IntDefs {
 		if err := b.blastIntDefH(d); err != nil {
@@ -543,28 +482,23 @@ func (b *Blaster) blastHashed() error {
 		}
 	}
 	for _, r := range tr.Roots {
-		if err := b.S.AddClause(b.blit(r)); err != nil {
-			return err
-		}
+		b.out.AddClause(b.blit(r))
 	}
 	return nil
 }
 
 // rangeAsserts adds lo ≤ v ≤ hi when the vector's width admits values
 // outside the declared range.
-func (b *Blaster) rangeAsserts(vec []sat.Lit, info ir.IntInfo) error {
+func (b *Blaster) rangeAsserts(vec []sat.Lit, info ir.IntInfo) {
 	w := len(vec)
 	min := int64(-1) << (w - 1)
 	max := -min - 1
 	if info.Lo > min {
-		if err := b.assertCmpConst(vec, info.Lo, true); err != nil {
-			return err
-		}
+		b.assertCmpConst(vec, info.Lo, true)
 	}
 	if info.Hi < max {
-		return b.assertCmpConst(vec, info.Hi, false)
+		b.assertCmpConst(vec, info.Hi, false)
 	}
-	return nil
 }
 
 func (b *Blaster) blastIntDefH(d ir.IntDef) error {
@@ -573,41 +507,38 @@ func (b *Blaster) blastIntDefH(d ir.IntDef) error {
 	x := b.atomVec(d.A, w)
 	y := b.atomVec(d.B, w)
 	var out []sat.Lit
-	var err error
 	switch d.Op {
 	case ir.OpAdd:
-		out, err = b.addVecH(x, y, b.lTrue.Not())
+		out = b.addVecH(x, y, b.lTrue.Not())
 	case ir.OpSub:
-		out, err = b.subVecH(x, y)
+		out = b.subVecH(x, y)
 	case ir.OpMul:
 		switch {
 		case d.A.IsConst:
-			out, err = b.mulConstVecH(y, d.A.Const, w)
+			out = b.mulConstVecH(y, d.A.Const, w)
 		case d.B.IsConst:
-			out, err = b.mulConstVecH(x, d.B.Const, w)
+			out = b.mulConstVecH(x, d.B.Const, w)
 		default:
-			out, err = b.mulVecH(x, y)
+			out = b.mulVecH(x, y)
 		}
 	default:
 		return fmt.Errorf("bv: unknown arithmetic operator %v", d.Op)
 	}
-	if err != nil {
-		return err
-	}
 	// Output aliasing: the result IS the circuit output — no fresh vector,
 	// no equate chain. The declared range still narrows it when needed.
 	b.vecs[d.Res] = out
-	return b.rangeAsserts(out, info)
+	b.rangeAsserts(out, info)
+	return nil
 }
 
 // leLit returns a literal ⇔ (x ≤ y) over atoms, routing constant bounds
 // through the selected comparator family.
-func (b *Blaster) leLit(xa, ya ir.Atom) (sat.Lit, error) {
+func (b *Blaster) leLit(xa, ya ir.Atom) sat.Lit {
 	if xa.IsConst && ya.IsConst {
 		if xa.Const <= ya.Const {
-			return b.lTrue, nil
+			return b.lTrue
 		}
-		return b.lTrue.Not(), nil
+		return b.lTrue.Not()
 	}
 	if b.opts.Comparator == ComparatorLadder {
 		if ya.IsConst {
@@ -615,39 +546,29 @@ func (b *Blaster) leLit(xa, ya ir.Atom) (sat.Lit, error) {
 		}
 		if xa.IsConst {
 			// k ≤ v ⇔ ¬(v ≤ k−1).
-			g, err := b.ladderLE(b.vecs[ya.Var], xa.Const-1)
-			return g.Not(), err
+			return b.ladderLE(b.vecs[ya.Var], xa.Const-1).Not()
 		}
 	}
 	// x ≤ y ⇔ ¬sign(y − x).
-	sgn, err := b.signBitOfDiffH(ya, xa)
-	return sgn.Not(), err
+	return b.signBitOfDiffH(ya, xa).Not()
 }
 
 func (b *Blaster) blastCmpDefH(d ir.CmpDef) error {
 	var p sat.Lit
-	var err error
 	switch d.Op {
 	case ir.OpLE:
-		p, err = b.leLit(d.A, d.B)
+		p = b.leLit(d.A, d.B)
 	case ir.OpLT:
 		// a < b ⇔ ¬(b ≤ a).
-		p, err = b.leLit(d.B, d.A)
-		p = p.Not()
+		p = b.leLit(d.B, d.A).Not()
 	case ir.OpEQ, ir.OpNE:
-		w := b.atomWidth(d.A)
-		if wy := b.atomWidth(d.B); wy > w {
-			w = wy
-		}
-		p, err = b.eqLitH(b.atomVec(d.A, w), b.atomVec(d.B, w))
+		w := max(b.atomWidth(d.A), b.atomWidth(d.B))
+		p = b.eqLitH(b.atomVec(d.A, w), b.atomVec(d.B, w))
 		if d.Op == ir.OpNE {
 			p = p.Not()
 		}
 	default:
 		return fmt.Errorf("bv: unknown relational operator %v", d.Op)
-	}
-	if err != nil {
-		return err
 	}
 	b.bools[d.P] = p
 	return nil
@@ -657,24 +578,19 @@ func (b *Blaster) blastGateH(g ir.Gate) error {
 	q := b.blit(g.Q)
 	r := b.blit(g.R)
 	var p sat.Lit
-	var err error
 	switch g.Op {
 	case ir.OpAnd:
-		p, err = b.andLit(q, r)
+		p = b.andLit(q, r)
 	case ir.OpOr:
-		p, err = b.orLit(q, r)
+		p = b.orLit(q, r)
 	case ir.OpImply:
-		p, err = b.orLit(q.Not(), r)
+		p = b.orLit(q.Not(), r)
 	case ir.OpIff:
-		p, err = b.xorLit(q, r)
-		p = p.Not()
+		p = b.xorLit(q, r).Not()
 	case ir.OpXor:
-		p, err = b.xorLit(q, r)
+		p = b.xorLit(q, r)
 	default:
 		return fmt.Errorf("bv: unknown gate %v", g.Op)
-	}
-	if err != nil {
-		return err
 	}
 	b.bools[g.P] = p
 	return nil
@@ -682,52 +598,41 @@ func (b *Blaster) blastGateH(g ir.Gate) error {
 
 // assertCmpConstH asserts v ≥ k (ge) or v ≤ k through the selected
 // comparator family.
-func (b *Blaster) assertCmpConstH(vec []sat.Lit, k int64, ge bool) error {
+func (b *Blaster) assertCmpConstH(vec []sat.Lit, k int64, ge bool) {
 	var l sat.Lit
-	var err error
 	if b.opts.Comparator == ComparatorLadder {
 		if ge {
-			l, err = b.ladderLE(vec, k-1)
-			l = l.Not()
+			l = b.ladderLE(vec, k-1).Not()
 		} else {
-			l, err = b.ladderLE(vec, k)
+			l = b.ladderLE(vec, k)
 		}
 	} else {
 		w := len(vec) + 1
 		x := signExtend(vec, w)
 		y := b.constVec(k, w)
 		if ge {
-			l, err = b.signOfSubH(x, y) // sign(v − k); ≥ ⇔ ¬sign
+			l = b.signOfSubH(x, y).Not() // sign(v − k); ≥ ⇔ ¬sign
 		} else {
-			l, err = b.signOfSubH(y, x)
+			l = b.signOfSubH(y, x).Not()
 		}
-		l = l.Not()
 	}
-	if err != nil {
-		return err
-	}
-	return b.S.AddClause(l)
+	b.out.AddClause(l)
 }
 
 // cmpConstLitH builds the (un-memoized) probe literal for v ≤ k / v ≥ k.
-func (b *Blaster) cmpConstLitH(id int, k int64, le bool) (sat.Lit, error) {
+func (b *Blaster) cmpConstLitH(id int, k int64, le bool) sat.Lit {
 	vec := b.vecs[id]
 	if b.opts.Comparator == ComparatorLadder {
 		if le {
 			return b.ladderLE(vec, k)
 		}
-		g, err := b.ladderLE(vec, k-1) // v ≥ k ⇔ ¬(v ≤ k−1)
-		return g.Not(), err
+		return b.ladderLE(vec, k-1).Not() // v ≥ k ⇔ ¬(v ≤ k−1)
 	}
 	w := len(vec) + 1
 	x := signExtend(vec, w)
 	y := b.constVec(k, w)
-	var sgn sat.Lit
-	var err error
 	if le {
-		sgn, err = b.signOfSubH(y, x) // k − v ≥ 0
-	} else {
-		sgn, err = b.signOfSubH(x, y) // v − k ≥ 0
+		return b.signOfSubH(y, x).Not() // k − v ≥ 0
 	}
-	return sgn.Not(), err
+	return b.signOfSubH(x, y).Not() // v − k ≥ 0
 }

@@ -1,0 +1,66 @@
+package bv_test
+
+import (
+	"runtime"
+	"testing"
+
+	"satalloc/internal/bv"
+	"satalloc/internal/encode"
+	"satalloc/internal/ir"
+	"satalloc/internal/sat"
+	"satalloc/internal/workload"
+)
+
+// table1Ring returns the triplet form of Table 1's token-ring instance
+// (the T43 workload partitioned to 14 tasks, minimum TRT).
+func table1Ring(t *testing.T) *ir.Triplets {
+	t.Helper()
+	sys := workload.Partition(workload.T43(), 14)
+	enc, err := encode.Encode(sys, encode.Options{Objective: encode.MinimizeTRT, ObjectiveMedium: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ir.ToTriplets(enc.F)
+}
+
+// TestTable1RingEncodingSize pins the size of Table 1's token ring at
+// every intake layer: the triplet tables (whose structural dedup keys
+// decide how many definitions survive) and the bit-blasted formula the
+// solver ends up holding.
+func TestTable1RingEncodingSize(t *testing.T) {
+	tr := table1Ring(t)
+	got := [5]int{len(tr.Ints), len(tr.BoolNames), len(tr.IntDefs), len(tr.CmpDefs), len(tr.Gates)}
+	if want := [5]int{1033, 3843, 632, 921, 2754}; got != want {
+		t.Errorf("triplets (ints, bools, int defs, cmp defs, gates) = %v, want %v", got, want)
+	}
+	s := sat.New()
+	if _, err := bv.BlastWith(s, tr, bv.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumVariables() != 28076 || s.Stats.NumLiterals != 226378 {
+		t.Errorf("blast = %d vars, %d literals; want 28076, 226378", s.NumVariables(), s.Stats.NumLiterals)
+	}
+}
+
+// TestBlastAllocationBudget bounds the bytes one bit-blast of Table 1's
+// token ring allocates. The count is a property of the intake path, not
+// of host speed: recording the circuit in a flat batch and loading it at
+// its final size keeps it at about 25 MB, where growing every solver
+// slice one call at a time took 44 MB.
+func TestBlastAllocationBudget(t *testing.T) {
+	tr := table1Ring(t)
+	const budget = 32 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := sat.New()
+	if _, err := bv.BlastWith(s, tr, bv.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("BlastWith allocated %.1f MB", float64(got)/(1<<20))
+	if got > budget {
+		t.Fatalf("BlastWith allocated %.1f MB, budget %.0f MB", float64(got)/(1<<20), float64(budget)/(1<<20))
+	}
+}

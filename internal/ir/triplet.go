@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // This file implements §5.1 of the paper: the rewriting of an arbitrary
 // Boolean combination of integer (in)equations into "triplet form" — an
@@ -94,15 +97,54 @@ type Triplets struct {
 	SourceBool []int
 }
 
+// Structural dedup keys of the three triplet kinds. The operands of a
+// commutative operator are stored in canonical order (see atomLess and
+// blitLess), so a+b and b+a share one key.
+type (
+	intKey struct {
+		op   IntOp
+		a, b Atom
+	}
+	cmpKey struct {
+		op   CmpOp
+		a, b Atom
+	}
+	gateKey struct {
+		op   BoolOp
+		q, r BLit
+	}
+)
+
+// atomLess is a total order on atoms: constants before variables, then by
+// value or index.
+func atomLess(x, y Atom) bool {
+	if x.IsConst != y.IsConst {
+		return x.IsConst
+	}
+	if x.IsConst {
+		return x.Const < y.Const
+	}
+	return x.Var < y.Var
+}
+
+// blitLess is a total order on Boolean literals: by variable, positive
+// before negated.
+func blitLess(x, y BLit) bool {
+	if x.Var != y.Var {
+		return x.Var < y.Var
+	}
+	return !x.Neg && y.Neg
+}
+
 type tripletizer struct {
 	f   *Formula
 	out *Triplets
 
 	intMemo  map[IntExpr]Atom
 	boolMemo map[BoolExpr]BLit
-	intKey   map[string]Atom // structural dedup of arithmetic triplets
-	cmpKey   map[string]BLit
-	gateKey  map[string]BLit
+	intKey   map[intKey]Atom // structural dedup of arithmetic triplets
+	cmpKey   map[cmpKey]BLit
+	gateKey  map[gateKey]BLit
 }
 
 // ToTriplets rewrites the formula into triplet form.
@@ -112,9 +154,9 @@ func ToTriplets(f *Formula) *Triplets {
 		out:      &Triplets{},
 		intMemo:  map[IntExpr]Atom{},
 		boolMemo: map[BoolExpr]BLit{},
-		intKey:   map[string]Atom{},
-		cmpKey:   map[string]BLit{},
-		gateKey:  map[string]BLit{},
+		intKey:   map[intKey]Atom{},
+		cmpKey:   map[cmpKey]BLit{},
+		gateKey:  map[gateKey]BLit{},
 	}
 	for _, v := range f.IntVars {
 		id := tr.newInt(v.Name, v.Lo, v.Hi)
@@ -161,19 +203,16 @@ func (tr *tripletizer) intE(e IntExpr) Atom {
 	case *BinInt:
 		opA := tr.intE(x.A)
 		opB := tr.intE(x.B)
-		key := fmt.Sprintf("%d|%v|%v", x.Op, opA, opB)
-		if x.Op != OpSub { // + and * are commutative
-			key2 := fmt.Sprintf("%d|%v|%v", x.Op, opB, opA)
-			if key2 < key {
-				key = key2
-			}
+		key := intKey{x.Op, opA, opB}
+		if x.Op != OpSub && atomLess(opB, opA) { // + and * are commutative
+			key.a, key.b = opB, opA
 		}
 		if prev, ok := tr.intKey[key]; ok {
 			a = prev
 			break
 		}
 		lo, hi := x.Range()
-		res := tr.newInt(fmt.Sprintf("t%d", len(tr.out.Ints)), lo, hi)
+		res := tr.newInt("t"+strconv.Itoa(len(tr.out.Ints)), lo, hi)
 		tr.out.IntDefs = append(tr.out.IntDefs, IntDef{Res: res, Op: x.Op, A: opA, B: opB})
 		a = VarAtom(res)
 		tr.intKey[key] = a
@@ -204,30 +243,28 @@ func (tr *tripletizer) boolE(e BoolExpr) BLit {
 	case *Cmp:
 		a := tr.intE(x.A)
 		b := tr.intE(x.B)
-		key := fmt.Sprintf("%d|%v|%v", x.Op, a, b)
+		key := cmpKey{x.Op, a, b}
 		if prev, ok := tr.cmpKey[key]; ok {
 			l = prev
 			break
 		}
-		p := tr.newBool(fmt.Sprintf("c%d", len(tr.out.BoolNames)))
+		p := tr.newBool("c" + strconv.Itoa(len(tr.out.BoolNames)))
 		tr.out.CmpDefs = append(tr.out.CmpDefs, CmpDef{P: p, Op: x.Op, A: a, B: b})
 		l = BLit{Var: p}
 		tr.cmpKey[key] = l
 	case *BinBool:
 		q := tr.boolE(x.A)
 		r := tr.boolE(x.B)
-		key := fmt.Sprintf("%d|%v|%v", x.Op, q, r)
-		if x.Op == OpAnd || x.Op == OpOr || x.Op == OpIff || x.Op == OpXor {
-			key2 := fmt.Sprintf("%d|%v|%v", x.Op, r, q)
-			if key2 < key {
-				key = key2
-			}
+		key := gateKey{x.Op, q, r}
+		commutes := x.Op == OpAnd || x.Op == OpOr || x.Op == OpIff || x.Op == OpXor
+		if commutes && blitLess(r, q) {
+			key.q, key.r = r, q
 		}
 		if prev, ok := tr.gateKey[key]; ok {
 			l = prev
 			break
 		}
-		p := tr.newBool(fmt.Sprintf("g%d", len(tr.out.BoolNames)))
+		p := tr.newBool("g" + strconv.Itoa(len(tr.out.BoolNames)))
 		tr.out.Gates = append(tr.out.Gates, Gate{P: p, Op: x.Op, Q: q, R: r})
 		l = BLit{Var: p}
 		tr.gateKey[key] = l

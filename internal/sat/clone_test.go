@@ -27,7 +27,7 @@ func TestParallelCloneCopiesRootState(t *testing.T) {
 			}
 			base.Solve()
 
-			base.journal = &journal{}
+			base.journal = NewBatch(base)
 			n := base.NumVariables()
 			var bound []PBTerm
 			for i := 0; i < 6; i++ {
@@ -44,7 +44,7 @@ func TestParallelCloneCopiesRootState(t *testing.T) {
 			if err := base.AddPB(bound, 4); err != nil {
 				t.Fatal(err)
 			}
-			if len(base.journal.entries) == 0 {
+			if len(base.journal.ops) == 0 {
 				t.Fatal("bound circuit was not journaled")
 			}
 

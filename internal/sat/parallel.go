@@ -26,49 +26,6 @@ import (
 // decision level 0 (Solve entry and restart boundaries), where attaching,
 // unit-enqueueing, or deriving the empty clause are all safe.
 
-// journal records base-solver mutations (NewVar/AddClause/AddPB) so the
-// portfolio can replay them into its workers before the next race. This is
-// what keeps variable numbering and the clause database identical across
-// workers when circuits (e.g. the binary search's cost-bound comparators)
-// are built between Solve calls. A nil journal records nothing.
-type journal struct {
-	entries []journalEntry
-}
-
-type journalEntry struct {
-	kind  byte // journalVar, journalClause, journalPB
-	lits  []Lit
-	terms []PBTerm
-	bound int64
-}
-
-const (
-	journalVar byte = iota
-	journalClause
-	journalPB
-)
-
-func (j *journal) recordVar() {
-	if j == nil {
-		return
-	}
-	j.entries = append(j.entries, journalEntry{kind: journalVar})
-}
-
-func (j *journal) recordClause(lits []Lit) {
-	if j == nil {
-		return
-	}
-	j.entries = append(j.entries, journalEntry{kind: journalClause, lits: append([]Lit(nil), lits...)})
-}
-
-func (j *journal) recordPB(terms []PBTerm, bound int64) {
-	if j == nil {
-		return
-	}
-	j.entries = append(j.entries, journalEntry{kind: journalPB, terms: append([]PBTerm(nil), terms...), bound: bound})
-}
-
 // CloneAtRoot returns a fresh solver with the same variables, problem
 // clauses, PB constraints, and root-level facts as s. Learnt clauses,
 // activities, and saved phases are not copied — a clone starts its own
@@ -76,12 +33,14 @@ func (j *journal) recordPB(terms []PBTerm, bound int64) {
 // workers want. The solver must be at decision level 0.
 //
 // The root state is copied wholesale rather than replayed through
-// AddClause/AddPB: the assignment, trail and propagation head, the
-// problem clauses (packed into a fresh arena), their watch lists with the
-// learnt entries dropped, and the PB store with its root-level slacks. The
-// clone's root facts carry no reason — a reason may name a learnt clause
-// the clone does not have, and conflict analysis never reads the reason of
-// a root-level literal.
+// AddClause/AddPB: the assignment, trail and propagation head, the clause
+// arena verbatim, the watch lists with the learnt entries dropped, and
+// the PB store with its root-level slacks. Copying the arena word for word
+// keeps every problem clause at its ref, so no watcher is remapped; the
+// learnt clauses' words stay behind as garbage, counted as wasted, and the
+// clone's first compaction reclaims them. The clone's root facts carry no
+// reason — a reason may name a learnt clause the clone does not keep, and
+// conflict analysis never reads the reason of a root-level literal.
 func (s *Solver) CloneAtRoot() (*Solver, error) {
 	if s.decisionLevel() != 0 {
 		return nil, ErrNotAtRoot
@@ -94,6 +53,8 @@ func (s *Solver) CloneAtRoot() (*Solver, error) {
 		c.vars[v].phase = true
 	}
 	c.activity = make([]float64, n)
+	c.heap.heap = make([]Var, 0, n)
+	c.heap.indices = make([]int32, 0, n)
 	for v := 1; v < n; v++ {
 		c.heap.push(Var(v))
 	}
@@ -110,25 +71,12 @@ func (s *Solver) CloneAtRoot() (*Solver, error) {
 		c.vars[p.Var()] = varInfo{pos: s.vars[p.Var()].pos, phase: p.Sign()}
 	}
 
-	// Problem clauses keep their allocation order, so s.clauses is sorted
-	// by ref and a binary search maps an old ref to its index.
-	words := 1
-	for _, r := range s.clauses {
-		words += hdrWords + s.ca.size(r)
+	c.ca.data = slices.Clone(s.ca.data)
+	c.ca.wasted = s.ca.wasted
+	for _, r := range s.learnts {
+		c.ca.free(r)
 	}
-	c.ca.data = make([]Lit, 1, words)
-	c.clauses = make([]clauseRef, len(s.clauses))
-	for i, r := range s.clauses {
-		c.clauses[i] = clauseRef(len(c.ca.data))
-		c.ca.data = append(c.ca.data, s.ca.data[r:int(r)+hdrWords+s.ca.size(r)]...)
-	}
-	remap := func(r clauseRef) (clauseRef, bool) {
-		if s.ca.learnt(r) {
-			return nilRef, false
-		}
-		i, _ := slices.BinarySearch(s.clauses, r)
-		return c.clauses[i], true
-	}
+	c.clauses = slices.Clone(s.clauses)
 	// Every copied list is carved out of one backing array per kind and
 	// capped at its length, so the clone's first append to a list moves
 	// that list alone.
@@ -145,15 +93,15 @@ func (s *Solver) CloneAtRoot() (*Solver, error) {
 		so, co := &s.occs[l], &c.occs[l]
 		start := len(wbuf)
 		for _, w := range so.watches {
-			if nr, ok := remap(w.ref); ok {
-				wbuf = append(wbuf, watcher{ref: nr, blocker: w.blocker})
+			if !s.ca.learnt(w.ref) {
+				wbuf = append(wbuf, w)
 			}
 		}
 		co.watches = wbuf[start:len(wbuf):len(wbuf)]
 		start = len(bbuf)
 		for _, w := range so.bins {
-			if nr, ok := remap(w.ref); ok {
-				bbuf = append(bbuf, binWatcher{other: w.other, ref: nr})
+			if !s.ca.learnt(w.ref) {
+				bbuf = append(bbuf, w)
 			}
 		}
 		co.bins = bbuf[start:len(bbuf):len(bbuf)]
@@ -434,7 +382,7 @@ func NewParallel(base *Solver, opts ParallelOptions) (*ParallelSolver, error) {
 	}
 	// Start journaling only now: everything before this point is already
 	// in every clone.
-	base.journal = &journal{}
+	base.journal = NewBatch(base)
 	return p, nil
 }
 
@@ -492,7 +440,7 @@ func (p *ParallelSolver) wireSharing(i int, w *pworker) {
 	}
 }
 
-// sync replays base-solver mutations recorded since the last race into
+// sync loads the base-solver mutations recorded since the last race into
 // every live worker and propagates the per-call conflict budget.
 func (p *ParallelSolver) sync() error {
 	j := p.base.journal
@@ -500,25 +448,14 @@ func (p *ParallelSolver) sync() error {
 		if i == 0 || w.dead {
 			continue
 		}
-		for _, e := range j.entries {
-			var err error
-			switch e.kind {
-			case journalVar:
-				w.s.NewVar()
-			case journalClause:
-				err = w.s.AddClause(e.lits...)
-			case journalPB:
-				err = w.s.AddPB(e.terms, e.bound)
-			}
-			if err != nil {
-				return fmt.Errorf("sat: replaying into portfolio worker %d: %w", i, err)
-			}
+		if err := w.s.Load(j); err != nil {
+			return fmt.Errorf("sat: loading the journal into portfolio worker %d: %w", i, err)
 		}
 		w.s.MaxConflicts = p.base.MaxConflicts
 	}
 	// Every live worker is now at the same point; dead workers never race
-	// again, so the journal can be compacted.
-	j.entries = j.entries[:0]
+	// again, so the journal can start over.
+	j.Reset(p.base)
 	return nil
 }
 

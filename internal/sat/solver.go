@@ -190,11 +190,11 @@ type Solver struct {
 	shareSync   func() bool
 
 	// journal, when non-nil, records every NewVar/AddClause/AddPB so the
-	// parallel portfolio can replay the deltas into its worker solvers
+	// parallel portfolio can load the deltas into its worker solvers
 	// (they must mirror the base solver's variable numbering and clause
 	// database exactly — assumption literals and bound circuits built
 	// between SOLVE calls land in all workers this way).
-	journal *journal
+	journal *Batch
 
 	// proof, when non-nil, receives the solver's inference trace — inputs,
 	// learnt clauses, deletions, and refuted assumption sets — so an
@@ -291,7 +291,9 @@ func (s *Solver) NewVar() Var {
 	s.occs = append(s.occs, litOccs{}, litOccs{})
 	s.heap.push(v)
 	s.Stats.NumVars++
-	s.journal.recordVar()
+	if s.journal != nil {
+		s.journal.NewVar()
+	}
 	return v
 }
 
@@ -315,6 +317,12 @@ var ErrNotAtRoot = errors.New("sat: constraints must be added at decision level 
 // falsified) clause makes the formula unsatisfiable. The literal slice is
 // not retained.
 func (s *Solver) AddClause(lits ...Lit) error {
+	if s.decisionLevel() != 0 {
+		return ErrNotAtRoot
+	}
+	if s.journal != nil {
+		s.journal.AddClause(lits...)
+	}
 	if s.proof != nil {
 		// The logger sees a scratch copy: handing it lits would let the
 		// caller's variadic argument escape, costing every AddClause call
@@ -325,14 +333,10 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	return s.addClause(lits...)
 }
 
-// addClause is AddClause without the proof-input record, for internal
-// paths (PB-to-clause conversion) whose originating constraint is already
-// logged in another form.
+// addClause is AddClause without the journal and proof-input records, for
+// internal paths (PB-to-clause conversion) whose originating constraint
+// is already recorded in another form. The caller checks the level.
 func (s *Solver) addClause(lits ...Lit) error {
-	if s.decisionLevel() != 0 {
-		return ErrNotAtRoot
-	}
-	s.journal.recordClause(lits)
 	if !s.ok {
 		return nil
 	}
@@ -384,7 +388,9 @@ func (s *Solver) AddPB(terms []PBTerm, bound int64) error {
 	if s.decisionLevel() != 0 {
 		return ErrNotAtRoot
 	}
-	s.journal.recordPB(terms, bound)
+	if s.journal != nil {
+		s.journal.AddPB(terms, bound)
+	}
 	if !s.ok {
 		return nil
 	}
@@ -408,9 +414,9 @@ func (s *Solver) AddPB(terms []PBTerm, bound int64) error {
 		return nil
 	}
 	// A PB constraint whose coefficients are all ≥ bound is just a clause.
-	// addClause skips the proof-input record: the constraint is already
-	// logged in PB form, and the checker's propagation over it is exactly
-	// clause propagation.
+	// addClause skips the journal and proof-input records: the constraint
+	// is already recorded in PB form, and the checker's propagation over it
+	// is exactly clause propagation.
 	if norm[len(norm)-1].Coef >= bnd {
 		ls := s.litBuf[:0]
 		for _, t := range norm {
