@@ -4,8 +4,8 @@ FUZZTIME ?= 10s
 .PHONY: check vet lint satlint proof-check build test race race-parallel fuzz bench bench-json bench-smoke bench-harness encode-stats equisat ops-smoke serve-smoke load-smoke race-serve
 
 ## check: the full CI gate — vet, lint, proof replay, build, the
-## race-enabled test suite, and a short fuzz smoke run of every
-## parser-hardening target.
+## race-enabled test suite, and a short fuzz smoke run of every native
+## fuzz target.
 check: vet lint proof-check build race fuzz
 
 vet:
@@ -24,11 +24,12 @@ satlint:
 ## proof-check: the verdict-observability gate — the DRAT-modulo-PB
 ## checker's own tests, every seeded corpus UNSAT replayed through it,
 ## the core-extraction minimality checks, the solvesat DRAT round trip,
-## the Table-1/Table-2 optimality-certificate acceptance tests, and the
-## warm-started search's certificate and fallback tests.
+## the Table-1/Table-2 optimality-certificate acceptance tests, the
+## warm-started search's certificate and fallback tests, and the
+## exhaustive-oracle differential check of generated specs.
 proof-check:
 	$(GO) test -count 1 ./internal/proof
-	$(GO) test -count 1 -run 'Proof|Certified|SeedCorpus|Explain|WarmStart' \
+	$(GO) test -count 1 -run 'Proof|Certified|SeedCorpus|Explain|WarmStart|OptimumMatchesExhaustive' \
 		./internal/sat ./internal/opt ./internal/core \
 		./internal/experiments ./cmd/solvesat ./cmd/allocate
 
@@ -41,12 +42,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-## fuzz: smoke-run the native fuzz targets for $(FUZZTIME) each. Longer
-## campaigns: go test -fuzz FuzzParseDIMACS -fuzztime 10m ./internal/sat
+## fuzz: smoke-run the native fuzz targets for $(FUZZTIME) each: the
+## parser-hardening targets and FuzzOptimum, the exhaustive-oracle
+## differential check over generated specs. Longer campaigns:
+## go test -fuzz FuzzParseDIMACS -fuzztime 10m ./internal/sat
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDIMACS$$' -fuzztime $(FUZZTIME) ./internal/sat
 	$(GO) test -run '^$$' -fuzz '^FuzzParseOPB$$' -fuzztime $(FUZZTIME) ./internal/sat
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpec$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzOptimum$$' -fuzztime $(FUZZTIME) ./internal/core
 
 ## race-parallel: the clause-sharing portfolio's concurrency tests under the
 ## race detector, runnable on their own (CI gives them a dedicated step).

@@ -4,7 +4,8 @@
 // bit vectors of logarithmic size, arithmetic triplets become adder and
 // multiplier circuits (the carry of the full adder is axiomatized with the
 // paper's pair of pseudo-Boolean constraints, eq. 19), and relational
-// triplets become comparator circuits.
+// triplets become comparator circuits. Linear rows over Booleans skip the
+// circuits: each becomes one pseudo-Boolean constraint.
 //
 // By default the blaster structurally hashes the circuit (hash.go): every
 // gate goes through a canonicalizing cache, constants fold before
@@ -166,7 +167,31 @@ func (b *Blaster) blastLegacy() error {
 	for _, r := range tr.Roots {
 		b.out.AddClause(b.blit(r))
 	}
+	b.blastLinear()
 	return nil
+}
+
+// blastLinear emits every linear row Σ c·x ≤ k as one PB constraint over
+// the complemented literals, Σ c·¬x ≥ W − k with W = Σ c, so the solver's
+// counter propagation refutes an overfull row without auxiliary
+// variables. A guarded row adds the big-M term (W − k)·¬g, which meets the
+// bound by itself whenever the guard g is false. A row with W ≤ k
+// normalizes away in AddPB.
+func (b *Blaster) blastLinear() {
+	var terms []sat.PBTerm
+	for _, row := range b.Tr.Linear {
+		terms = terms[:0]
+		var sum int64
+		for _, t := range row.Terms {
+			terms = append(terms, sat.PBTerm{Coef: t.Coef, Lit: b.blit(t.Lit).Not()})
+			sum += t.Coef
+		}
+		rhs := sum - row.Bound
+		if row.Guarded {
+			terms = append(terms, sat.PBTerm{Coef: rhs, Lit: b.blit(row.Guard).Not()})
+		}
+		b.out.AddPB(terms, rhs)
+	}
 }
 
 func (b *Blaster) blit(l ir.BLit) sat.Lit {

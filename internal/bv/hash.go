@@ -484,6 +484,7 @@ func (b *Blaster) blastHashed() error {
 	for _, r := range tr.Roots {
 		b.out.AddClause(b.blit(r))
 	}
+	b.blastLinear()
 	return nil
 }
 

@@ -11,12 +11,12 @@ import (
 // fixed order, so repeated in-process sequential solves search exactly
 // alike. A map-ordered encoding made the counts differ from call to call.
 func TestSequentialSolveIsRepeatable(t *testing.T) {
-	// Two deadline groups of three or more tasks; the two orders in which
-	// a map range can visit them lead to different searches (578 and 457
-	// conflicts).
+	// Two deadline groups of three or more tasks, so a map range could
+	// visit them in either order, and a spec the utilization rows do not
+	// refute at the root: it still takes hundreds of conflicts.
 	o := workload.T43Options()
-	o.Seed = 3
-	o.Tasks = 10
+	o.Seed = 6
+	o.Tasks = 12
 	o.Chains = 3
 	o.UtilizationPerECUPercent = 65
 	o.Restricted = 2

@@ -129,10 +129,11 @@ type Encoding struct {
 	// Constraint-group bookkeeping (see groups.go): groupOf[i] is the
 	// index into groups owning F.Asserts[i], or -1 for definitional
 	// constraints outside any group; cur is where req files new asserts.
-	groups   []ConstraintGroup
-	groupIdx map[string]int
-	groupOf  []int
-	cur      int
+	groups     []ConstraintGroup
+	groupIdx   map[string]int
+	groupOf    []int
+	linGroupOf []int // likewise for F.Linear
+	cur        int
 }
 
 // sameECULit returns the formula "Π(t1) = Π(t2)" over the one-hot
@@ -200,6 +201,7 @@ func Encode(sys *model.System, opts Options) (*Encoding, error) {
 	if err := e.encodeTaskTiming(); err != nil {
 		return nil, err
 	}
+	e.encodeUtilization()
 	if err := e.encodeRouting(); err != nil {
 		return nil, err
 	}
@@ -465,6 +467,42 @@ func (e *Encoding) encodeTaskTiming() error {
 	// Flush the deferred ceiling constraints now that all r_i exist.
 	e.flushCeils()
 	return nil
+}
+
+// utilScale is the fixed-point scale S of the utilization rows: a task's
+// weight on an ECU is ⌊S·c/t⌋ and the row's bound is S.
+const utilScale = 1 << 20
+
+// encodeUtilization adds, for every ECU p, the row
+//
+//	Σ_t ⌊S·c_t(p)/t_t⌋ · a_{t,p} ≤ S
+//
+// over the placement one-hots: the tasks placed on p use at most all of
+// it. The row is implied by eq. (5)–(13) because every deadline is at most
+// its period. For the lowest-priority task i on p, r_i ≥ c_i + Σ_{j≠i}
+// ⌈r_i/t_j⌉·c_j ≥ r_i·Σ_{j≠i} c_j/t_j + c_i, and r_i ≤ d_i ≤ t_i gives
+// c_i ≥ r_i·c_i/t_i, so U(p) ≤ 1; jitter and blocking only raise r_i, and
+// flooring the weights keeps the row implied. Stating it natively lets the
+// solver refute an overloaded placement in one PB propagation instead of
+// one conflict at a time through the adder and multiplier chains. Rows
+// that no placement can violate are not emitted.
+func (e *Encoding) encodeUtilization() {
+	for _, ecu := range e.Sys.ECUs {
+		var terms []ir.Term
+		var sum int64
+		for _, t := range e.Sys.Tasks {
+			if av, ok := e.alloc[t.ID][ecu.ID]; ok {
+				w := utilScale * t.WCET[ecu.ID] / t.Period
+				terms = append(terms, ir.Term{Coef: w, Var: av})
+				sum += w
+			}
+		}
+		if sum <= utilScale {
+			continue // no placement can violate it
+		}
+		e.begin(GroupUtilization, fmt.Sprintf("ecu%d", ecu.ID))
+		e.reqLinear(terms, utilScale)
+	}
 }
 
 // --- deferred ceiling bookkeeping -----------------------------------------

@@ -32,6 +32,10 @@ const (
 	// GroupRouting is a message's path selection: one-hot path choice,
 	// endpoint conditions, media-usage bits, and entry stations (§4).
 	GroupRouting GroupKind = "routing"
+	// GroupUtilization is one ECU's implied utilization row (see
+	// encodeUtilization). The deadline and priority families entail it,
+	// so it only ever speeds refutation up.
+	GroupUtilization GroupKind = "utilization"
 )
 
 // ConstraintGroup is a named, selectable family of asserts. Sel is set
@@ -84,15 +88,22 @@ func (e *Encoding) req(x ir.BoolExpr) {
 	}
 }
 
-// applySelectors rewrites every grouped assert A into sel_g → A and
-// declares the selector variables. Called at the end of Encode under
-// Options.Groups; with every selector asserted true the formula is
-// equisatisfiable with the unguarded encoding, and leaving a selector
-// free relaxes exactly its family. Note that integer-variable ranges are
-// not guarded — a relaxed deadline group still leaves the response-time
-// variable inside its declared range, which is what keeps bit-blasting
-// well-formed — so relaxation means "the family's equations are waived",
-// not "the variables disappear".
+// reqLinear is req for a linear row Σ terms ≤ bound: it records the
+// row's owning group, index-parallel to F.Linear.
+func (e *Encoding) reqLinear(terms []ir.Term, bound int64) {
+	e.F.RequireLinear(terms, bound)
+	e.linGroupOf = append(e.linGroupOf, e.cur)
+}
+
+// applySelectors rewrites every grouped assert A into sel_g → A, guards
+// every grouped linear row by sel_g, and declares the selector variables.
+// Called at the end of Encode under Options.Groups; with every selector
+// asserted true the formula is equisatisfiable with the unguarded
+// encoding, and leaving a selector free relaxes exactly its family. Note
+// that integer-variable ranges are not guarded — a relaxed deadline group
+// still leaves the response-time variable inside its declared range,
+// which is what keeps bit-blasting well-formed — so relaxation means "the
+// family's equations are waived", not "the variables disappear".
 func (e *Encoding) applySelectors() {
 	for gi := range e.groups {
 		g := &e.groups[gi]
@@ -101,6 +112,11 @@ func (e *Encoding) applySelectors() {
 	for i, a := range e.F.Asserts {
 		if gi := e.groupOf[i]; gi >= 0 {
 			e.F.Asserts[i] = ir.Imply(e.groups[gi].Sel, a)
+		}
+	}
+	for i, row := range e.F.Linear {
+		if gi := e.linGroupOf[i]; gi >= 0 {
+			row.Guard = e.groups[gi].Sel
 		}
 	}
 }

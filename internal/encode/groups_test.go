@@ -40,6 +40,9 @@ func TestGroupsCoverExpectedFamilies(t *testing.T) {
 	sys := twoBusSystem()
 	sys.ECUs[0].MemCapacity = 64
 	sys.Tasks[0].MemSize = 8
+	// prod and filler together would overload p0, so its utilization row
+	// is not vacuous.
+	sys.Tasks[2].WCET[0] = 58
 	enc, err := Encode(sys, Options{Objective: MinimizeSumTRT, ObjectiveMedium: -1, Groups: true})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +51,7 @@ func TestGroupsCoverExpectedFamilies(t *testing.T) {
 	for _, g := range enc.Groups() {
 		kinds[g.Kind] = true
 	}
-	for _, want := range []GroupKind{GroupPlacement, GroupDeadline, GroupRouting, GroupMemory, GroupPriority} {
+	for _, want := range []GroupKind{GroupPlacement, GroupDeadline, GroupRouting, GroupMemory, GroupPriority, GroupUtilization} {
 		if !kinds[want] {
 			t.Fatalf("no %s group; have %v", want, enc.Groups())
 		}

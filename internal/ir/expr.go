@@ -9,7 +9,9 @@
 // three variables, one arithmetic operator, and one relational operator.
 // Interval ranges for the auxiliary integer variables are inferred from the
 // operand ranges, which later lets the bit-blaster pick minimal
-// 2's-complement widths.
+// 2's-complement widths. Weighted sums of Booleans bounded by a constant
+// (Formula.RequireLinear) bypass the rewriting: they pass through to the
+// bit-blaster as linear rows.
 package ir
 
 import "fmt"

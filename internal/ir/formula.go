@@ -9,6 +9,26 @@ type Formula struct {
 	IntVars  []*IntVar
 	BoolVars []*BoolVar
 	Asserts  []BoolExpr
+	// Linear holds the asserted Boolean-weighted linear rows (see
+	// RequireLinear); they sit beside Asserts rather than inside the
+	// expression tree so the bit-blaster can hand each to the solver as
+	// one pseudo-Boolean constraint instead of an adder circuit.
+	Linear []*Linear
+}
+
+// Term is one weighted Boolean of a linear row: Coef·[Var].
+type Term struct {
+	Coef int64
+	Var  *BoolVar
+}
+
+// Linear is the row Σ Coef_i·[Var_i] ≤ Bound over declared Boolean
+// variables, with non-negative coefficients. A non-nil Guard makes it
+// conditional: the row must hold only when Guard is true.
+type Linear struct {
+	Terms []Term
+	Bound int64
+	Guard *BoolVar
 }
 
 // NewFormula returns an empty formula.
@@ -37,6 +57,19 @@ func (f *Formula) Require(e BoolExpr) {
 		return
 	}
 	f.Asserts = append(f.Asserts, e)
+}
+
+// RequireLinear asserts Σ terms ≤ bound and returns the row, whose Guard
+// the caller may set. Coefficients must be non-negative.
+func (f *Formula) RequireLinear(terms []Term, bound int64) *Linear {
+	for _, t := range terms {
+		if t.Coef < 0 {
+			panic(fmt.Sprintf("ir: negative coefficient %d on %s", t.Coef, t.Var.Name))
+		}
+	}
+	row := &Linear{Terms: terms, Bound: bound}
+	f.Linear = append(f.Linear, row)
+	return row
 }
 
 // Assignment is a valuation of a formula's variables, used by the evaluator
@@ -129,6 +162,20 @@ func (f *Formula) Satisfied(a *Assignment) bool {
 	}
 	for _, e := range f.Asserts {
 		if !a.EvalBool(e) {
+			return false
+		}
+	}
+	for _, row := range f.Linear {
+		if row.Guard != nil && !a.EvalBool(row.Guard) {
+			continue
+		}
+		var sum int64
+		for _, t := range row.Terms {
+			if a.EvalBool(t.Var) {
+				sum += t.Coef
+			}
+		}
+		if sum > row.Bound {
 			return false
 		}
 	}

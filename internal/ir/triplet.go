@@ -76,8 +76,24 @@ type Gate struct {
 	Q, R BLit
 }
 
+// WLit is one weighted literal of a LinDef.
+type WLit struct {
+	Coef int64
+	Lit  BLit
+}
+
+// LinDef is a Formula.Linear row over triplet Booleans,
+// Σ Coef·Lit ≤ Bound; when Guarded, it holds only while Guard is true.
+type LinDef struct {
+	Terms   []WLit
+	Bound   int64
+	Guard   BLit
+	Guarded bool
+}
+
 // Triplets is the result of the triplet transformation: flat variable
-// tables, definition lists, and the root literals asserted true.
+// tables, definition lists, the root literals asserted true, and the
+// linear rows passed through untouched.
 type Triplets struct {
 	Ints      []IntInfo
 	BoolNames []string
@@ -85,6 +101,7 @@ type Triplets struct {
 	CmpDefs   []CmpDef
 	Gates     []Gate
 	Roots     []BLit
+	Linear    []LinDef
 	// Unsat is set when an asserted constraint folded to the constant
 	// false, making the whole formula trivially unsatisfiable.
 	Unsat bool
@@ -176,6 +193,16 @@ func ToTriplets(f *Formula) *Triplets {
 			continue
 		}
 		tr.out.Roots = append(tr.out.Roots, tr.boolE(e))
+	}
+	for _, row := range f.Linear {
+		d := LinDef{Bound: row.Bound, Terms: make([]WLit, len(row.Terms))}
+		for i, t := range row.Terms {
+			d.Terms[i] = WLit{Coef: t.Coef, Lit: tr.boolE(t.Var)}
+		}
+		if row.Guard != nil {
+			d.Guard, d.Guarded = tr.boolE(row.Guard), true
+		}
+		tr.out.Linear = append(tr.out.Linear, d)
 	}
 	return tr.out
 }
@@ -277,6 +304,6 @@ func (tr *tripletizer) boolE(e BoolExpr) BLit {
 
 // Stats summarizes the size of a triplet system.
 func (t *Triplets) Stats() string {
-	return fmt.Sprintf("ints=%d bools=%d intdefs=%d cmps=%d gates=%d roots=%d",
-		len(t.Ints), len(t.BoolNames), len(t.IntDefs), len(t.CmpDefs), len(t.Gates), len(t.Roots))
+	return fmt.Sprintf("ints=%d bools=%d intdefs=%d cmps=%d gates=%d roots=%d linear=%d",
+		len(t.Ints), len(t.BoolNames), len(t.IntDefs), len(t.CmpDefs), len(t.Gates), len(t.Roots), len(t.Linear))
 }

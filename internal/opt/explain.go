@@ -173,9 +173,15 @@ func ExplainInfeasible(msys *model.System, encOpts encode.Options, opts Options)
 		return st, core
 	}
 
-	all := make([]int, len(groups))
-	for i := range all {
-		all[i] = i
+	// The utilization rows stay relaxed: the deadline and priority
+	// families entail them, so leaving them out never turns an infeasible
+	// spec feasible, and a core then names those primary families rather
+	// than the derived row.
+	all := make([]int, 0, len(groups))
+	for i, g := range groups {
+		if g.Kind != encode.GroupUtilization {
+			all = append(all, i)
+		}
 	}
 	st, work := solveWith(all)
 	switch st {

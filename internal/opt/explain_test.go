@@ -160,6 +160,40 @@ func TestExplainOverloadCoreIsMinimal(t *testing.T) {
 	verifyMinimalCore(t, sys, rep)
 }
 
+func TestExplainPinnedOverloadCore(t *testing.T) {
+	// Placement restrictions pin all three tasks to p0, where they need
+	// 14/20 + 6/40 + 8/40 = 105 % of the CPU; each alone meets its
+	// deadline. The core must name the overloaded ECU's row or the
+	// deadline families of the tasks on it.
+	sys := tinyRing()
+	sys.Tasks[2].WCET[0] = 14
+	for _, task := range sys.Tasks {
+		task.Allowed = []int{0}
+	}
+	rep, err := ExplainInfeasible(sys,
+		encode.Options{Objective: encode.MinimizeTRT, ObjectiveMedium: -1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Feasible || !rep.Minimal {
+		t.Fatalf("feasible=%v minimal=%v", rep.Feasible, rep.Minimal)
+	}
+	named := false
+	for _, g := range rep.Groups {
+		switch {
+		case g.Kind == encode.GroupUtilization && g.Entity == "ecu0", g.Kind == encode.GroupDeadline:
+			named = true
+		case g.Kind == encode.GroupPlacement:
+		default:
+			t.Fatalf("unexpected family %s in core %v", g.Name(), rep.Names())
+		}
+	}
+	if !named {
+		t.Fatalf("core %v names neither utilization(ecu0) nor a deadline", rep.Names())
+	}
+	verifyMinimalCore(t, sys, rep)
+}
+
 func TestExplainSeparationCore(t *testing.T) {
 	// Three mutually separated tasks on two ECUs: a pigeonhole over the
 	// separation and placement families.
