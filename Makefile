@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint satlint proof-check build test race race-parallel fuzz bench bench-json bench-smoke bench-harness encode-stats equisat ops-smoke serve-smoke load-smoke race-serve
+.PHONY: check vet lint satlint proof-check build test race race-parallel fuzz bench bench-json bench-smoke bench-harness equisat ops-smoke serve-smoke load-smoke race-serve
 
 ## check: the full CI gate — vet, lint, proof replay, build, the
 ## race-enabled test suite, and a short fuzz smoke run of every native
@@ -87,16 +87,11 @@ bench-smoke:
 bench-harness:
 	cd bench && $(GO) test -count 1 ./...
 
-## encode-stats: bit-blast the Table-1 specs (compile only, no solving)
-## under the legacy encoder and both structural-hashing comparator
-## variants, and print the gates-emitted/folded/reused accounting table.
-encode-stats:
-	$(GO) run ./cmd/benchtab -table encode
-
-## equisat: the encoder equivalence gate — every fuzz-seeded formula and
-## the Table-1/Table-2 specs encoded with hashing on/off and each
-## comparator variant must produce identical verdicts and costs, checked
-## under the race detector.
+## equisat: the encoder against ground truth, under the race detector —
+## every hand-built and fuzz-seeded formula's encoding must agree with
+## direct evaluation on every assignment, the gate cache's accounting
+## must balance, and the Table-1/Table-2 specs must reach their pinned
+## verdicts and optimal costs.
 equisat:
 	$(GO) test -race -count 1 -run 'Equisat|HashingReduces' ./internal/bv ./internal/opt
 

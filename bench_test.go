@@ -15,13 +15,11 @@ import (
 	"testing"
 
 	"satalloc/internal/baseline"
-	"satalloc/internal/bv"
 	"satalloc/internal/core"
 	"satalloc/internal/encode"
 	"satalloc/internal/experiments"
 	"satalloc/internal/model"
 	"satalloc/internal/opt"
-	"satalloc/internal/sat"
 	"satalloc/internal/workload"
 )
 
@@ -252,35 +250,5 @@ func BenchmarkSuite(b *testing.B) {
 		if _, err := experiments.Table4(experiments.Scaled, experiments.Budget{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkCarryEncodingAblation compares the paper's PB axiomatization of
-// the adder carry (eq. 19) against a plain 6-clause CNF majority encoding
-// — the §5.1 claim that PB keeps the encoding compact. The reported
-// literals metric shows the size difference; ns/op the solving impact.
-func BenchmarkCarryEncodingAblation(b *testing.B) {
-	sys := workload.Partition(workload.T43(), 10)
-	for _, mode := range []struct {
-		name string
-		cnf  bool
-	}{{"pb-carry", false}, {"cnf-carry", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				enc, err := encode.Encode(sys, encode.Options{Objective: encode.MinimizeTRT, ObjectiveMedium: -1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				compiled, err := bv.CompileWith(enc.F, bv.Options{CarryAsCNF: mode.cnf})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if compiled.Solve() != sat.Sat {
-					b.Fatal("expected sat")
-				}
-				b.ReportMetric(float64(compiled.S.Stats.NumLiterals), "literals")
-				b.ReportMetric(float64(compiled.S.NumVariables()), "bool-vars")
-			}
-		})
 	}
 }

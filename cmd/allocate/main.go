@@ -4,8 +4,7 @@
 // Usage:
 //
 //	allocate [-objective trt|sumtrt|busutil|maxutil] [-medium id]
-//	         [-fresh] [-comparator adder|ladder] [-no-hash]
-//	         [-workers n] [-proof] [-explain] [-v]
+//	         [-fresh] [-workers n] [-proof] [-explain] [-v]
 //	         [-progress 1s] [-iters] [-trace spans.jsonl]
 //	         [-ops-addr :9090] [-timeout 30s] [-conflict-budget n]
 //	         [-cpuprofile f] [-memprofile f] [-exectrace f] [spec.json]
@@ -48,7 +47,6 @@ import (
 	"io"
 	"os"
 
-	"satalloc/internal/bv"
 	"satalloc/internal/cli"
 	"satalloc/internal/core"
 	"satalloc/internal/obs"
@@ -56,8 +54,9 @@ import (
 	"satalloc/internal/report"
 )
 
-// main delegates to run so deferred cleanups (profile flush, trace close)
-// still execute on non-zero exits.
+// main delegates to run so deferred cleanups (profile flush, trace close,
+// ops listener shutdown) still execute on non-zero exits: run reports
+// errors through fail and returns the exit code instead of exiting.
 func main() {
 	os.Exit(run())
 }
@@ -66,8 +65,6 @@ func run() int {
 	objective := flag.String("objective", "trt", "cost function: trt, sumtrt, busutil, maxutil, usedecus")
 	medium := flag.Int("medium", -1, "medium ID the objective refers to (-1: first suitable)")
 	fresh := flag.Bool("fresh", false, "rebuild the solver for every SOLVE call (disable §7 clause reuse)")
-	comparator := flag.String("comparator", "adder", "constant-bound comparator circuits: adder (subtract-based, the paper's) or ladder (totalizer-style unary chains)")
-	noHash := flag.Bool("no-hash", false, "disable structural hashing in the bit-blaster (legacy encoding, for A/B comparison)")
 	verbose := flag.Bool("v", false, "log binary-search progress")
 	asJSON := flag.Bool("json", false, "emit the allocation as JSON")
 	asReport := flag.Bool("report", false, "emit a full deployment report with ASCII schedules")
@@ -86,12 +83,12 @@ func run() int {
 
 	if *proof {
 		if err := cli.ReconcileSequential(flag.CommandLine, workers, "-proof"); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if *explain {
 		if err := cli.ReconcileSequential(flag.CommandLine, workers, "-explain"); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
@@ -100,15 +97,10 @@ func run() int {
 
 	stopProf, err := obs.StartProfiling(*cpuprofile, *memprofile, *exectrace)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer stopProf()
 
-	cmp, err := bv.ParseComparator(*comparator)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	cfg := core.Config{
 		ObjectiveMedium:     *medium,
 		FreshSolverPerCall:  *fresh,
@@ -116,8 +108,6 @@ func run() int {
 		Workers:             *workers,
 		Proof:               *proof,
 		Explain:             *explain,
-		Comparator:          cmp,
-		DisableHashing:      *noHash,
 	}
 	switch *objective {
 	case "trt":
@@ -131,7 +121,7 @@ func run() int {
 	case "usedecus":
 		cfg.Objective = core.MinimizeUsedECUs
 	default:
-		fatal(fmt.Errorf("unknown objective %q", *objective))
+		return fail(fmt.Errorf("unknown objective %q", *objective))
 	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
@@ -144,7 +134,7 @@ func run() int {
 
 	root, err := trace.Start("allocate")
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer trace.Close("allocate")
 	cfg.Trace = root
@@ -152,7 +142,7 @@ func run() int {
 	// The ops listener comes up before the spec is read, so /healthz and
 	// /metrics answer while the process is still waiting on stdin.
 	if err := ops.Start("allocate"); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer ops.Close("allocate")
 	cfg.Metrics = ops.Metrics
@@ -162,19 +152,19 @@ func run() int {
 	if flag.NArg() > 0 {
 		f, err := os.Open(flag.Arg(0))
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		in = f
 	}
 	sys, err := core.ReadSpec(in)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	sol, err := core.SolveContext(ctx, sys, cfg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *iters {
 		fmt.Fprint(os.Stderr, report.IterTable(sol.Iters))
@@ -204,7 +194,7 @@ func run() int {
 	}
 	if *asJSON {
 		if err := core.WriteAllocation(os.Stdout, sys, sol.Allocation, sol.Cost); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		return 0
 	}
@@ -247,7 +237,8 @@ func explainPayload(sol *core.Solution) any {
 	return p
 }
 
-func fatal(err error) {
+// fail reports err on stderr and returns exit code 1.
+func fail(err error) int {
 	fmt.Fprintf(os.Stderr, "allocate: %v\n", err)
-	os.Exit(1)
+	return 1
 }

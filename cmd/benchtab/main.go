@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchtab [-mode scaled|full] [-table 1|2|3|4|reuse|iters|encode|all]
+//	benchtab [-mode scaled|full] [-table 1|2|3|4|reuse|iters|all]
 //	         [-workers n] [-trace spans.jsonl] [-ops-addr :9090]
 //	         [-timeout 10m] [-conflict-budget n]
 //	         [-cpuprofile f] [-memprofile f] [-exectrace f]
@@ -41,7 +41,7 @@ func main() {
 
 func run() int {
 	modeFlag := flag.String("mode", "scaled", "instance sizes: scaled or full")
-	tableFlag := flag.String("table", "all", "which table to run: 1, 2, 3, 4, reuse, iters, encode, or all")
+	tableFlag := flag.String("table", "all", "which table to run: 1, 2, 3, 4, reuse, iters, or all")
 	trace := cli.AddTraceFlag(flag.CommandLine)
 	ops := cli.AddOpsFlags(flag.CommandLine)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -138,14 +138,6 @@ func run() int {
 			fail(err)
 		} else {
 			fmt.Println(experiments.FormatReuse(row))
-		}
-	}
-	if want("encode") {
-		rows, err := experiments.EncodeStatsTable(mode)
-		if err != nil {
-			fail(err)
-		} else {
-			fmt.Println(experiments.FormatEncodeStats(rows))
 		}
 	}
 	if want("iters") {

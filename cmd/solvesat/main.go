@@ -49,8 +49,9 @@ import (
 	"satalloc/internal/sat"
 )
 
-// main delegates to run so deferred cleanups (profile flush) still execute
-// on non-zero exits.
+// main delegates to run so deferred cleanups (profile flush, trace close,
+// ops listener shutdown) still execute on non-zero exits: run reports
+// errors through fail and returns the exit code instead of exiting.
 func main() {
 	os.Exit(run())
 }
@@ -70,7 +71,7 @@ func run() int {
 
 	if *proofOut != "" {
 		if err := cli.ReconcileSequential(flag.CommandLine, workers, "-proof"); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
@@ -79,17 +80,17 @@ func run() int {
 
 	stopProf, err := obs.StartProfiling(*cpuprofile, *memprofile, *exectrace)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer stopProf()
 
 	root, err := trace.Start("solvesat")
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer trace.Close("solvesat")
 	if err := ops.Start("solvesat"); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer ops.Close("solvesat")
 
@@ -106,18 +107,18 @@ func run() int {
 	// trace span and the per-call metrics, so the ops endpoint sees the
 	// iterative-strengthening rounds (and the shared-clause deltas).
 	call := 0
-	mkSolve := func(s *sat.Solver) func() sat.Status {
+	mkSolve := func(s *sat.Solver) (func() (sat.Status, error), error) {
 		var par *sat.ParallelSolver
 		var lastShared sat.ParallelStats
 		if *workers >= 2 {
 			var err error
 			par, err = sat.NewParallel(s, sat.ParallelOptions{Workers: *workers})
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			ops.Metrics.RecordParallelWorkers(*workers)
 		}
-		return func() sat.Status {
+		return func() (sat.Status, error) {
 			call++
 			sp := root.Child(fmt.Sprintf("Solve[%d]", call))
 			start := time.Now()
@@ -125,7 +126,8 @@ func run() int {
 			if par != nil {
 				st = par.Solve()
 				if err := par.Err(); err != nil {
-					fatal(err)
+					sp.Attr("error", err.Error()).End()
+					return st, err
 				}
 				snap := par.Snapshot()
 				ops.Metrics.RecordShared(snap.Exported-lastShared.Exported,
@@ -137,8 +139,8 @@ func run() int {
 			}
 			ops.Metrics.RecordIter(time.Since(start), st == sat.Unknown)
 			sp.Attr("status", st.String()).End()
-			return st
-		}
+			return st, nil
+		}, nil
 	}
 
 	var in io.Reader = os.Stdin
@@ -147,7 +149,7 @@ func run() int {
 		name = flag.Arg(0)
 		f, err := os.Open(name)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		in = f
@@ -172,24 +174,31 @@ func run() int {
 		if *proofOut != "" {
 			plog = proof.NewLog()
 			if err := s.SetProofLogger(plog); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 		n, err := sat.ParseDIMACSInto(s, in)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		s.OnProgress = hook
 		s.OnConflict = ops.Metrics.ConflictHook()
 		s.Stop = func() bool { return ctx.Err() != nil }
 		s.MaxConflicts = budget.ConflictBudget
-		st := mkSolve(s)()
+		solve, err := mkSolve(s)
+		if err != nil {
+			return fail(err)
+		}
+		st, err := solve()
+		if err != nil {
+			return fail(err)
+		}
 		if plog != nil {
 			// Written for every outcome, like other proof-logging solvers:
 			// on UNSATISFIABLE the file ends with the empty clause and
 			// checks as a refutation; otherwise it is the derivation so far.
 			if err := writeDRAT(*proofOut, plog); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 		switch st {
@@ -206,20 +215,27 @@ func run() int {
 		}
 	case "opb":
 		if *proofOut != "" {
-			fatal(fmt.Errorf("-proof requires CNF input: pseudo-Boolean constraints are not expressible in DRAT"))
+			return fail(fmt.Errorf("-proof requires CNF input: pseudo-Boolean constraints are not expressible in DRAT"))
 		}
 		s, obj, err := sat.ParseOPB(in)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		s.OnProgress = hook
 		s.OnConflict = ops.Metrics.ConflictHook()
 		s.Stop = func() bool { return ctx.Err() != nil }
 		s.MaxConflicts = budget.ConflictBudget
 		n := s.NumVariables()
-		solve := mkSolve(s)
+		solve, err := mkSolve(s)
+		if err != nil {
+			return fail(err)
+		}
 		if len(obj) == 0 {
-			switch solve() {
+			st, err := solve()
+			if err != nil {
+				return fail(err)
+			}
+			switch st {
 			case sat.Sat:
 				fmt.Println("s SATISFIABLE")
 				printModel(s, n)
@@ -237,7 +253,10 @@ func run() int {
 		best, haveModel, halted := int64(0), false, false
 		var model []bool
 		for {
-			st := solve()
+			st, err := solve()
+			if err != nil {
+				return fail(err)
+			}
 			if st != sat.Sat {
 				halted = st == sat.Unknown
 				break
@@ -260,7 +279,7 @@ func run() int {
 				neg[i] = sat.PBTerm{Coef: -t.Coef, Lit: t.Lit}
 			}
 			if err := s.AddPB(neg, -(best - 1)); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 		if !haveModel {
@@ -284,9 +303,8 @@ func run() int {
 		printSnapshot(model)
 		return 30
 	default:
-		fatal(fmt.Errorf("unknown format %q", fm))
+		return fail(fmt.Errorf("unknown format %q", fm))
 	}
-	return 0
 }
 
 // writeDRAT dumps the learn/delete steps of the log as a DRAT file. Input
@@ -335,7 +353,8 @@ func printSnapshot(model []bool) {
 	fmt.Println()
 }
 
-func fatal(err error) {
+// fail reports err on stderr and returns exit code 1.
+func fail(err error) int {
 	fmt.Fprintf(os.Stderr, "solvesat: %v\n", err)
-	os.Exit(1)
+	return 1
 }

@@ -7,13 +7,10 @@
 // triplets become comparator circuits. Linear rows over Booleans skip the
 // circuits: each becomes one pseudo-Boolean constraint.
 //
-// By default the blaster structurally hashes the circuit (hash.go): every
-// gate goes through a canonicalizing cache, constants fold before
-// emission, and defined variables alias their circuit's output wires, so
-// shared subterms reach the solver once (see DESIGN.md §14 and
-// EncodeStats). Options.DisableHashing restores the legacy
-// one-circuit-per-triplet encoding, and Options.Comparator selects the
-// circuit family for comparisons against constants.
+// The blaster structurally hashes the circuit (hash.go): every gate goes
+// through a canonicalizing cache, constants fold before emission, and
+// defined variables alias their circuit's output wires, so shared
+// subterms reach the solver once (see DESIGN.md §14 and EncodeStats).
 package bv
 
 import (
@@ -24,26 +21,12 @@ import (
 	"satalloc/internal/sat"
 )
 
-// Options tunes the propositional encoding.
+// Options carries what a caller adds to an encoding run; the formula
+// itself depends on nothing but the triplets.
 type Options struct {
-	// CarryAsCNF replaces the paper's pseudo-Boolean axiomatization of the
-	// full-adder carry (eq. 19) with a plain 6-clause CNF majority
-	// encoding. The default (false) follows the paper; the CNF mode exists
-	// as an ablation of §5.1's compactness claim (see
-	// BenchmarkCarryEncodingAblation).
-	CarryAsCNF bool
-	// Comparator selects the circuit family for comparisons against
-	// constants (range assertions, constant-sided relational triplets and
-	// the optimizer's cost probes). It only takes effect on the hashed
-	// path; the legacy path always uses the subtract-based comparator.
-	Comparator Comparator
-	// DisableHashing reverts to the legacy one-circuit-per-triplet
-	// encoding: no gate cache, no constant folding, and defined variables
-	// equated to fresh vectors instead of aliasing circuit outputs. It
-	// exists for the equisatisfiability ablation and A/B benchmarks.
-	DisableHashing bool
 	// Trace, when set, is the parent span under which Compile records its
-	// Triplet and BitBlast phases. Nil disables tracing.
+	// Triplet phase and BlastWith its BitBlast phase. Nil disables
+	// tracing.
 	Trace *obs.Span
 }
 
@@ -57,9 +40,8 @@ type Options struct {
 // CmpConstLit call for a probe circuit. The batch is dropped right after
 // its Load, so it never outlives the call that built it.
 type Blaster struct {
-	S    *sat.Solver
-	Tr   *ir.Triplets
-	opts Options
+	S  *sat.Solver
+	Tr *ir.Triplets
 
 	out *sat.Batch // pending emission; nil between calls
 
@@ -69,7 +51,7 @@ type Blaster struct {
 
 	cmpConstMemo map[cmpConstKey]sat.Lit
 
-	// Structural-hashing state (nil cache means the legacy path).
+	// Structural-hashing state: the gate cache and its accounting.
 	cache map[gateKey]sat.Lit
 	stats EncodeStats
 }
@@ -88,35 +70,41 @@ func widthFor(lo, hi int64) int {
 	panic(fmt.Sprintf("bv: range [%d,%d] too wide", lo, hi))
 }
 
-// Blast encodes the triplet system into the solver with default options.
-// The solver may already contain other constraints; fresh variables are
-// allocated as needed.
-func Blast(s *sat.Solver, tr *ir.Triplets) (*Blaster, error) {
-	return BlastWith(s, tr, Options{})
+// BlastWith encodes the triplet system into the solver. The solver may
+// already contain other constraints; fresh variables are allocated as
+// needed. It records the BitBlast span under opts.Trace: the solver's
+// size after the load and the gate accounting of the pass.
+func BlastWith(s *sat.Solver, tr *ir.Triplets, opts Options) (*Blaster, error) {
+	sp := opts.Trace.Child("BitBlast")
+	b := &Blaster{S: s, Tr: tr, cmpConstMemo: map[cmpConstKey]sat.Lit{}, cache: map[gateKey]sat.Lit{}}
+	if err := b.blastAll(); err != nil {
+		sp.Attr("error", err.Error()).End()
+		return b, err
+	}
+	st := b.stats
+	sp.Attr("vars", s.NumVariables()).Attr("clauses", s.Stats.NumClauses).
+		Attr("pb", s.Stats.NumPB).Attr("literals", s.Stats.NumLiterals).
+		Attr("gates_requested", st.GatesRequested).
+		Attr("gates_emitted", st.GatesEmitted).
+		Attr("gates_folded", st.GatesFolded).
+		Attr("gates_reused", st.GatesReused()).End()
+	return b, nil
 }
 
-// BlastWith is Blast with explicit encoding options.
-func BlastWith(s *sat.Solver, tr *ir.Triplets, opts Options) (*Blaster, error) {
-	b := &Blaster{S: s, Tr: tr, opts: opts, cmpConstMemo: map[cmpConstKey]sat.Lit{}}
-	b.out = sat.NewBatch(s)
-	if tr.Unsat {
+// blastAll records the whole formula in a batch and loads it.
+func (b *Blaster) blastAll() error {
+	b.out = sat.NewBatch(b.S)
+	if b.Tr.Unsat {
 		b.out.AddClause()
-		return b, b.load()
+		return b.load()
 	}
 	b.lTrue = b.newLit()
 	b.out.AddClause(b.lTrue)
-	var err error
-	if opts.DisableHashing {
-		err = b.blastLegacy()
-	} else {
-		b.cache = make(map[gateKey]sat.Lit)
-		err = b.blastHashed()
-	}
-	if err != nil {
+	if err := b.blast(); err != nil {
 		b.out = nil
-		return b, err
+		return err
 	}
-	return b, b.load()
+	return b.load()
 }
 
 // load hands the pending batch to the solver and drops it.
@@ -128,48 +116,6 @@ func (b *Blaster) load() error {
 
 // newLit records a fresh variable and returns its positive literal.
 func (b *Blaster) newLit() sat.Lit { return sat.PosLit(b.out.NewVar()) }
-
-// blastLegacy is the pre-hashing encoding pass: every triplet variable
-// gets a fresh solver vector/literal up front and every definition is a
-// fresh circuit equated to it.
-func (b *Blaster) blastLegacy() error {
-	tr := b.Tr
-	b.bools = make([]sat.Lit, len(tr.BoolNames))
-	for i := range tr.BoolNames {
-		b.bools[i] = b.newLit()
-	}
-	b.vecs = make([][]sat.Lit, len(tr.Ints))
-	for i, info := range tr.Ints {
-		w := widthFor(info.Lo, info.Hi)
-		vec := make([]sat.Lit, w)
-		for j := range vec {
-			vec[j] = b.newLit()
-		}
-		b.vecs[i] = vec
-		b.rangeAsserts(vec, info)
-	}
-
-	for _, d := range tr.IntDefs {
-		if err := b.blastIntDef(d); err != nil {
-			return err
-		}
-	}
-	for _, d := range tr.CmpDefs {
-		if err := b.blastCmpDef(d); err != nil {
-			return err
-		}
-	}
-	for _, g := range tr.Gates {
-		if err := b.blastGate(g); err != nil {
-			return err
-		}
-	}
-	for _, r := range tr.Roots {
-		b.out.AddClause(b.blit(r))
-	}
-	b.blastLinear()
-	return nil
-}
 
 // blastLinear emits every linear row Σ c·x ≤ k as one PB constraint over
 // the complemented literals, Σ c·¬x ≥ W − k with W = Σ c, so the solver's
@@ -235,29 +181,10 @@ func signExtend(v []sat.Lit, w int) []sat.Lit {
 	return out
 }
 
-// fullAdder constrains s and cout to be the sum and carry of x+y+cin,
-// using the paper's PB axiomatization for the carry (eq. 19) and a CNF
-// parity axiomatization for the sum bit.
-func (b *Blaster) fullAdder(s, cout, x, y, cin sat.Lit) {
-	b.majGate(cout, x, y, cin)
-	b.xor3Gate(s, x, y, cin)
-}
-
-// majGate constrains cout ⇔ maj(x, y, cin): the paper's PB pair (eq. 19)
-// by default, or the 6-clause CNF majority gate in the ablation mode.
+// majGate constrains cout ⇔ maj(x, y, cin), the full-adder carry, with the
+// paper's PB pair (eq. 19):
+// 2cout + ¬x + ¬y + ¬cin ≥ 2  ∧  2¬cout + x + y + cin ≥ 2.
 func (b *Blaster) majGate(cout, x, y, cin sat.Lit) {
-	if b.opts.CarryAsCNF {
-		// Plain CNF majority gate (ablation mode): 6 ternary clauses.
-		b.out.AddClause(x.Not(), y.Not(), cout)
-		b.out.AddClause(x, y, cout.Not())
-		b.out.AddClause(x.Not(), cin.Not(), cout)
-		b.out.AddClause(x, cin, cout.Not())
-		b.out.AddClause(y.Not(), cin.Not(), cout)
-		b.out.AddClause(y, cin, cout.Not())
-		return
-	}
-	// The paper's PB pair (eq. 19):
-	// 2cout + ¬x + ¬y + ¬cin ≥ 2  ∧  2¬cout + x + y + cin ≥ 2.
 	b.out.AddPB([]sat.PBTerm{{Coef: 2, Lit: cout}, {Coef: 1, Lit: x.Not()}, {Coef: 1, Lit: y.Not()}, {Coef: 1, Lit: cin.Not()}}, 2)
 	b.out.AddPB([]sat.PBTerm{{Coef: 2, Lit: cout.Not()}, {Coef: 1, Lit: x}, {Coef: 1, Lit: y}, {Coef: 1, Lit: cin}}, 2)
 }
@@ -285,32 +212,12 @@ func (b *Blaster) xor3Gate(s, x, y, cin sat.Lit) {
 	}
 }
 
-// addVec returns a fresh vector constrained to x + y + cin (mod 2^w),
-// w = len(x) = len(y).
-func (b *Blaster) addVec(x, y []sat.Lit, cin sat.Lit) []sat.Lit {
-	w := len(x)
-	out := make([]sat.Lit, w)
-	carry := cin
-	for i := 0; i < w; i++ {
-		out[i] = b.newLit()
-		cout := b.newLit() // final carry is left dangling
-		b.fullAdder(out[i], cout, x[i], y[i], carry)
-		carry = cout
-	}
-	return out
-}
-
 func negVec(v []sat.Lit) []sat.Lit {
 	out := make([]sat.Lit, len(v))
 	for i, l := range v {
 		out[i] = l.Not()
 	}
 	return out
-}
-
-// subVec returns x - y (mod 2^w) via x + ¬y + 1.
-func (b *Blaster) subVec(x, y []sat.Lit) []sat.Lit {
-	return b.addVec(x, negVec(y), b.lTrue)
 }
 
 // andGate returns a fresh literal g with g ⇔ x ∧ y.
@@ -322,125 +229,11 @@ func (b *Blaster) andGate(x, y sat.Lit) sat.Lit {
 	return g
 }
 
-// mulVec returns a fresh vector constrained to x*y (mod 2^w) using the
-// shift-add scheme over partial products.
-func (b *Blaster) mulVec(x, y []sat.Lit) []sat.Lit {
-	w := len(x)
-	// acc starts as the first partial product: x masked by y[0].
-	acc := make([]sat.Lit, w)
-	for i := 0; i < w; i++ {
-		acc[i] = b.andGate(x[i], y[0])
-	}
-	for j := 1; j < w; j++ {
-		// Partial product row j: (x << j) masked by y[j]; only bits j..w-1
-		// are nonzero after the shift.
-		row := make([]sat.Lit, w)
-		for i := 0; i < j; i++ {
-			row[i] = b.lTrue.Not()
-		}
-		for i := j; i < w; i++ {
-			row[i] = b.andGate(x[i-j], y[j])
-		}
-		acc = b.addVec(acc, row, b.lTrue.Not())
-	}
-	return acc
-}
-
-// equateVec asserts x = y bitwise (same width).
-func (b *Blaster) equateVec(x, y []sat.Lit) {
-	for i := range x {
-		b.iffLits(x[i], y[i])
-	}
-}
-
-// mulConstVec multiplies a variable vector by a constant using shift-adds
-// over the constant's set bits only — no AND-gate partial-product matrix.
-// Negative constants multiply by |c| and then negate (0 − v).
-func (b *Blaster) mulConstVec(x []sat.Lit, c int64, w int) []sat.Lit {
-	neg := false
-	if c < 0 {
-		neg = true
-		c = -c
-	}
-	zero := b.constVec(0, w)
-	acc := zero
-	for j := 0; j < w && c>>j != 0; j++ {
-		if c&(1<<j) == 0 {
-			continue
-		}
-		// row = x << j, truncated to w bits.
-		row := make([]sat.Lit, w)
-		for i := 0; i < j; i++ {
-			row[i] = b.lTrue.Not()
-		}
-		for i := j; i < w; i++ {
-			row[i] = x[i-j]
-		}
-		acc = b.addVec(acc, row, b.lTrue.Not())
-	}
-	if neg {
-		return b.subVec(zero, acc)
-	}
-	return acc
-}
-
-func (b *Blaster) blastIntDef(d ir.IntDef) error {
-	res := b.vecs[d.Res]
-	w := len(res)
-	x := b.atomVec(d.A, w)
-	y := b.atomVec(d.B, w)
-	var out []sat.Lit
-	switch d.Op {
-	case ir.OpAdd:
-		out = b.addVec(x, y, b.lTrue.Not())
-	case ir.OpSub:
-		out = b.subVec(x, y)
-	case ir.OpMul:
-		switch {
-		case d.A.IsConst:
-			out = b.mulConstVec(y, d.A.Const, w)
-		case d.B.IsConst:
-			out = b.mulConstVec(x, d.B.Const, w)
-		default:
-			out = b.mulVec(x, y)
-		}
-	default:
-		return fmt.Errorf("bv: unknown arithmetic operator %v", d.Op)
-	}
-	b.equateVec(res, out)
-	return nil
-}
-
-// signBitOfDiff returns a literal equal to the sign bit of (x - y) computed
-// at width w+1 so the subtraction cannot wrap.
-func (b *Blaster) signBitOfDiff(xa, ya ir.Atom) sat.Lit {
-	w := max(b.atomWidth(xa), b.atomWidth(ya)) + 1
-	d := b.subVec(b.atomVec(xa, w), b.atomVec(ya, w))
-	return d[w-1]
-}
-
 func (b *Blaster) atomWidth(a ir.Atom) int {
 	if a.IsConst {
 		return widthFor(a.Const, a.Const)
 	}
 	return len(b.vecs[a.Var])
-}
-
-// eqLit returns a fresh literal ⇔ (x = y) over equal-width vectors.
-func (b *Blaster) eqLit(x, y []sat.Lit) sat.Lit {
-	p := b.newLit()
-	// p → (x_i ⇔ y_i) for all i; ¬p → some difference: (p ∨ diff_1 ∨ …).
-	diffClause := []sat.Lit{p}
-	for i := range x {
-		b.out.AddClause(p.Not(), x[i].Not(), y[i])
-		b.out.AddClause(p.Not(), x[i], y[i].Not())
-		// diff_i ⇔ x_i ⊕ y_i.
-		d := b.newLit()
-		b.xorGate(d, x[i], y[i])
-		diffClause = append(diffClause, d)
-	}
-	b.out.AddClause(diffClause...)
-	return p
 }
 
 func (b *Blaster) xorGate(g, x, y sat.Lit) {
@@ -450,82 +243,19 @@ func (b *Blaster) xorGate(g, x, y sat.Lit) {
 	b.out.AddClause(g, x, y.Not())
 }
 
-// iffLits asserts p ⇔ q.
-func (b *Blaster) iffLits(p, q sat.Lit) {
-	b.out.AddClause(p.Not(), q)
-	b.out.AddClause(p, q.Not())
-}
-
-func (b *Blaster) blastCmpDef(d ir.CmpDef) error {
-	p := b.bools[d.P]
-	switch d.Op {
-	case ir.OpLE:
-		// a ≤ b ⇔ ¬(b < a) ⇔ ¬sign(b - a).
-		b.iffLits(p, b.signBitOfDiff(d.B, d.A).Not())
-	case ir.OpLT:
-		b.iffLits(p, b.signBitOfDiff(d.A, d.B))
-	case ir.OpEQ, ir.OpNE:
-		w := max(b.atomWidth(d.A), b.atomWidth(d.B))
-		e := b.eqLit(b.atomVec(d.A, w), b.atomVec(d.B, w))
-		if d.Op == ir.OpNE {
-			e = e.Not()
-		}
-		b.iffLits(p, e)
-	default:
-		return fmt.Errorf("bv: unknown relational operator %v", d.Op)
-	}
-	return nil
-}
-
-func (b *Blaster) blastGate(g ir.Gate) error {
-	p := b.bools[g.P]
-	q := b.blit(g.Q)
-	r := b.blit(g.R)
-	switch g.Op {
-	case ir.OpAnd:
-		b.out.AddClause(p.Not(), q)
-		b.out.AddClause(p.Not(), r)
-		b.out.AddClause(p, q.Not(), r.Not())
-	case ir.OpOr:
-		b.out.AddClause(p, q.Not())
-		b.out.AddClause(p, r.Not())
-		b.out.AddClause(p.Not(), q, r)
-	case ir.OpImply:
-		b.out.AddClause(p.Not(), q.Not(), r)
-		b.out.AddClause(p, q)
-		b.out.AddClause(p, r.Not())
-	case ir.OpIff:
-		b.out.AddClause(p.Not(), q.Not(), r)
-		b.out.AddClause(p.Not(), q, r.Not())
-		b.out.AddClause(p, q, r)
-		b.out.AddClause(p, q.Not(), r.Not())
-	case ir.OpXor:
-		b.xorGate(p, q, r)
-	default:
-		return fmt.Errorf("bv: unknown gate %v", g.Op)
-	}
-	return nil
-}
-
-// assertCmpConst asserts v ≥ k (ge=true) or v ≤ k (ge=false) against a
-// constant.
-func (b *Blaster) assertCmpConst(vec []sat.Lit, k int64, ge bool) {
-	if b.hashed() {
-		b.assertCmpConstH(vec, k, ge)
-		return
-	}
-	// The legacy path reuses the generic subtract-based comparator: the
-	// sign bit of v − k (ge) or k − v at width w+1 must be clear.
+// cmpConstLit returns a literal ⇔ (v ≤ k) when le, else (v ≥ k), for the
+// signed vector v: the subtract-based comparator of §5.1, the clear sign
+// bit of k − v or v − k at width w+1. The constant operand folds each full
+// adder down to a two-input carry gate, so the comparator is a carry chain
+// plus one sum bit.
+func (b *Blaster) cmpConstLit(vec []sat.Lit, k int64, le bool) sat.Lit {
 	w := len(vec) + 1
 	x := signExtend(vec, w)
 	y := b.constVec(k, w)
-	var d []sat.Lit
-	if ge {
-		d = b.subVec(x, y) // v - k ≥ 0 ⇔ ¬sign
-	} else {
-		d = b.subVec(y, x) // k - v ≥ 0 ⇔ ¬sign
+	if le {
+		return b.signOfSub(y, x).Not() // k − v ≥ 0
 	}
-	b.out.AddClause(d[w-1].Not())
+	return b.signOfSub(x, y).Not() // v − k ≥ 0
 }
 
 // cmpConstKey memoizes CmpConstLit: integer variable, bound, direction.
@@ -545,22 +275,7 @@ func (b *Blaster) CmpConstLit(id int, k int64, le bool) (sat.Lit, error) {
 		return l, nil
 	}
 	b.out = sat.NewBatch(b.S)
-	var l sat.Lit
-	if b.hashed() {
-		l = b.cmpConstLitH(id, k, le)
-	} else {
-		vec := b.vecs[id]
-		w := len(vec) + 1
-		x := signExtend(vec, w)
-		y := b.constVec(k, w)
-		var d []sat.Lit
-		if le {
-			d = b.subVec(y, x) // k - v ≥ 0
-		} else {
-			d = b.subVec(x, y) // v - k ≥ 0
-		}
-		l = d[w-1].Not()
-	}
+	l := b.cmpConstLit(b.vecs[id], k, le)
 	if err := b.load(); err != nil {
 		return sat.LitUndef, err
 	}

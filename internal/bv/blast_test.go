@@ -375,56 +375,51 @@ func TestRandomArithmeticIdentities(t *testing.T) {
 // outside a variable's range are skipped, and hinting the literals of a
 // chosen solution steers the next search to exactly that solution.
 func TestAssignmentLitsSpellOutModel(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		f := ir.NewFormula()
-		x := f.Int("x", 0, 20)
-		y := f.Int("y", -5, 5)
-		p := f.Bool("p")
-		f.Require(ir.Eq(ir.Add(x, y), ir.Const(9)))
-		f.Require(ir.Imply(p, ir.Ge(x, ir.Const(10))))
-		sys, err := CompileWith(f, Options{DisableHashing: disable})
-		if err != nil {
-			t.Fatal(err)
+	f := ir.NewFormula()
+	x := f.Int("x", 0, 20)
+	y := f.Int("y", -5, 5)
+	p := f.Bool("p")
+	f.Require(ir.Eq(ir.Add(x, y), ir.Const(9)))
+	f.Require(ir.Imply(p, ir.Ge(x, ir.Const(10))))
+	sys, st := solveOne(t, f)
+	if st != sat.Sat {
+		t.Fatalf("got %v", st)
+	}
+	lits := sys.AssignmentLits(sys.Model())
+	if len(lits) == 0 {
+		t.Fatal("no literals for a full model")
+	}
+	for _, l := range lits {
+		if !sys.S.ModelLit(l) {
+			t.Fatalf("literal %v is false in the model it was read from", l)
 		}
-		if st := sys.Solve(); st != sat.Sat {
-			t.Fatalf("hashing off=%v: got %v", disable, st)
-		}
-		lits := sys.AssignmentLits(sys.Model())
-		if len(lits) == 0 {
-			t.Fatalf("hashing off=%v: no literals for a full model", disable)
-		}
-		for _, l := range lits {
-			if !sys.S.ModelLit(l) {
-				t.Fatalf("hashing off=%v: literal %v is false in the model it was read from", disable, l)
-			}
-		}
-		if got := sys.AssignmentLits(&ir.Assignment{Ints: map[*ir.IntVar]int64{x: 21}}); len(got) != 0 {
-			t.Fatalf("hashing off=%v: out-of-range value produced %d literals", disable, len(got))
-		}
+	}
+	if got := sys.AssignmentLits(&ir.Assignment{Ints: map[*ir.IntVar]int64{x: 21}}); len(got) != 0 {
+		t.Fatalf("out-of-range value produced %d literals", len(got))
+	}
 
-		want := &ir.Assignment{
-			Ints:  map[*ir.IntVar]int64{x: 13, y: -4},
-			Bools: map[*ir.BoolVar]bool{p: true},
-		}
-		fresh, err := CompileWith(f, Options{DisableHashing: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range fresh.AssignmentLits(want) {
-			fresh.S.Hint(l)
-		}
-		if st := fresh.Solve(); st != sat.Sat {
-			t.Fatalf("hashing off=%v: hinted solve got %v", disable, st)
-		}
-		if fresh.Int(x) != 13 || fresh.Int(y) != -4 || !fresh.Bool(p) {
-			t.Fatalf("hashing off=%v: hinted solve found x=%d y=%d p=%v, want the hinted 13, -4, true",
-				disable, fresh.Int(x), fresh.Int(y), fresh.Bool(p))
-		}
+	want := &ir.Assignment{
+		Ints:  map[*ir.IntVar]int64{x: 13, y: -4},
+		Bools: map[*ir.BoolVar]bool{p: true},
+	}
+	fresh, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range fresh.AssignmentLits(want) {
+		fresh.S.Hint(l)
+	}
+	if st := fresh.Solve(); st != sat.Sat {
+		t.Fatalf("hinted solve got %v", st)
+	}
+	if fresh.Int(x) != 13 || fresh.Int(y) != -4 || !fresh.Bool(p) {
+		t.Fatalf("hinted solve found x=%d y=%d p=%v, want the hinted 13, -4, true",
+			fresh.Int(x), fresh.Int(y), fresh.Bool(p))
 	}
 }
 
-// TestLinearRowsMatchEnumeration checks the PB emission of linear rows on
-// both encoder paths: for every valuation of the rows' variables and
+// TestLinearRowsMatchEnumeration checks the PB emission of linear rows:
+// for every valuation of the rows' variables and
 // guard, pinned through assumptions, the solver's verdict must equal the
 // rows evaluated directly. The rows include a guarded one, a zero
 // coefficient, and vacuous ones that no valuation violates.
@@ -436,30 +431,28 @@ func TestLinearRowsMatchEnumeration(t *testing.T) {
 	f.RequireLinear([]ir.Term{{Coef: 5, Var: y}, {Coef: 4, Var: z}}, 8).Guard = g
 	f.RequireLinear([]ir.Term{{Coef: 1, Var: x}, {Coef: 2, Var: y}}, 3)
 	f.RequireLinear([]ir.Term{{Coef: 1, Var: x}}, 1).Guard = g
-	for _, hashing := range []bool{true, false} {
-		sys, err := CompileWith(f, Options{DisableHashing: !hashing})
-		if err != nil {
-			t.Fatal(err)
+	sys, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mask := 0; mask < 1<<len(vars); mask++ {
+		a := ir.NewAssignment()
+		var asm []sat.Lit
+		for i, v := range vars {
+			val := mask&(1<<i) != 0
+			a.Bools[v] = val
+			l := sat.PosLit(sys.BoolSolverVar(v))
+			if !val {
+				l = l.Not()
+			}
+			asm = append(asm, l)
 		}
-		for mask := 0; mask < 1<<len(vars); mask++ {
-			a := ir.NewAssignment()
-			var asm []sat.Lit
-			for i, v := range vars {
-				val := mask&(1<<i) != 0
-				a.Bools[v] = val
-				l := sat.PosLit(sys.BoolSolverVar(v))
-				if !val {
-					l = l.Not()
-				}
-				asm = append(asm, l)
-			}
-			want := sat.Unsat
-			if f.Satisfied(a) {
-				want = sat.Sat
-			}
-			if st := sys.Solve(asm...); st != want {
-				t.Fatalf("hashing=%v x,y,z,g=%04b: %v, want %v", hashing, mask, st, want)
-			}
+		want := sat.Unsat
+		if f.Satisfied(a) {
+			want = sat.Sat
+		}
+		if st := sys.Solve(asm...); st != want {
+			t.Fatalf("x,y,z,g=%04b: %v, want %v", mask, st, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package bv
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,96 +10,42 @@ import (
 	"satalloc/internal/sat"
 )
 
-// encodingModes are the encoder configurations the equisatisfiability
-// harness cross-checks: the legacy path and the hashed path under both
-// comparator families, each with the PB and the CNF carry axiomatization.
-var encodingModes = []struct {
-	name string
-	opts Options
+// equisatChecks are the checks the harness runs on every formula; each
+// compares the encoder with ir.Formula.Satisfied by a different route.
+// The subtest names are the harness's long-standing IDs: they once named
+// encoder variants (the unhashed legacy path, the ladder comparator) that
+// have since been removed, and they are kept so results stay comparable
+// with earlier runs.
+var equisatChecks = []struct {
+	name  string
+	check func(*testing.T, *ir.Formula)
 }{
-	{"legacy", Options{DisableHashing: true}},
-	{"legacy-cnf", Options{DisableHashing: true, CarryAsCNF: true}},
-	{"hash-adder", Options{}},
-	{"hash-adder-cnf", Options{CarryAsCNF: true}},
-	{"hash-ladder", Options{Comparator: ComparatorLadder}},
-	{"hash-ladder-cnf", Options{Comparator: ComparatorLadder, CarryAsCNF: true}},
+	{"hash-adder", checkEncodingExact},
+	{"hash-adder-cnf", checkExportExact},
+	{"hash-ladder", checkNegationExact},
+	{"legacy", checkModelCount},
 }
 
-// checkEncodingExact verifies that an encoding of f agrees with the ground
-// truth evaluator on EVERY full assignment of the source variables: the
-// solver under assumptions pinning each variable must answer Sat exactly
-// when ir.Formula.Satisfied does. This is stronger than equisatisfiability
-// — it proves the encoding is a faithful definition of f over the source
-// vocabulary, for the hashed and legacy paths alike.
-func checkEncodingExact(t *testing.T, f *ir.Formula, opts Options) {
-	t.Helper()
-	sys, err := CompileWith(f, opts)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+// runEquisatChecks runs every equisatChecks entry on f as a subtest of t.
+func runEquisatChecks(t *testing.T, f *ir.Formula) {
+	for _, c := range equisatChecks {
+		t.Run(c.name, func(t *testing.T) { c.check(t, f) })
 	}
-	if sys.Tr.Unsat {
-		// The tripletizer folded the formula to false; the ground truth
-		// must agree on every assignment, which the empty-clause encoding
-		// trivially matches — verify there is no satisfying assignment.
-		if st := sys.Solve(); st != sat.Unsat {
-			t.Fatalf("folded-unsat formula solved as %v", st)
-		}
-		asn := ir.NewAssignment()
-		var walk func(iv, bvi int) bool
-		walk = func(iv, bvi int) bool {
-			if iv < len(f.IntVars) {
-				v := f.IntVars[iv]
-				for val := v.Lo; val <= v.Hi; val++ {
-					asn.Ints[v] = val
-					if !walk(iv+1, bvi) {
-						return false
-					}
-				}
-				return true
-			}
-			if bvi < len(f.BoolVars) {
-				v := f.BoolVars[bvi]
-				for _, val := range []bool{false, true} {
-					asn.Bools[v] = val
-					if !walk(iv, bvi+1) {
-						return false
-					}
-				}
-				return true
-			}
-			if f.Satisfied(asn) {
-				t.Errorf("encoder folded to unsat but %v satisfies the formula", renderAsn(f, asn))
-				return false
-			}
-			return true
-		}
-		walk(0, 0)
-		return
-	}
+}
 
-	// Walk the cross product of all variable domains.
+// forEachAssignment walks the cross product of f's variable domains,
+// calling visit on each full assignment until it returns false.
+func forEachAssignment(f *ir.Formula, visit func(*ir.Assignment) bool) {
 	asn := ir.NewAssignment()
-	var assumptions []sat.Lit
-	var walk func(iv, bv int) bool
+	var walk func(iv, bvi int) bool
 	walk = func(iv, bvi int) bool {
 		if iv < len(f.IntVars) {
 			v := f.IntVars[iv]
 			for val := v.Lo; val <= v.Hi; val++ {
 				asn.Ints[v] = val
-				le, err := sys.UpperBoundLit(v, val)
-				if err != nil {
-					t.Fatalf("upper bound lit: %v", err)
-				}
-				ge, err := sys.LowerBoundLit(v, val)
-				if err != nil {
-					t.Fatalf("lower bound lit: %v", err)
-				}
-				save := len(assumptions)
-				assumptions = append(assumptions, le, ge)
 				if !walk(iv+1, bvi) {
 					return false
 				}
-				assumptions = assumptions[:save]
 			}
 			return true
 		}
@@ -106,24 +53,185 @@ func checkEncodingExact(t *testing.T, f *ir.Formula, opts Options) {
 			v := f.BoolVars[bvi]
 			for _, val := range []bool{false, true} {
 				asn.Bools[v] = val
-				save := len(assumptions)
-				assumptions = append(assumptions, sat.MkLit(sys.BoolSolverVar(v), !val))
 				if !walk(iv, bvi+1) {
 					return false
 				}
-				assumptions = assumptions[:save]
 			}
 			return true
 		}
+		return visit(asn)
+	}
+	walk(0, 0)
+}
+
+// pinLits returns the solver literals that pin asn: v ≤ val and v ≥ val
+// through the comparator for each integer, the carrying variable for each
+// Boolean.
+func pinLits(t *testing.T, f *ir.Formula, sys *System, asn *ir.Assignment) []sat.Lit {
+	t.Helper()
+	var lits []sat.Lit
+	for _, v := range f.IntVars {
+		le, err := sys.UpperBoundLit(v, asn.Ints[v])
+		if err != nil {
+			t.Fatalf("upper bound lit: %v", err)
+		}
+		ge, err := sys.LowerBoundLit(v, asn.Ints[v])
+		if err != nil {
+			t.Fatalf("lower bound lit: %v", err)
+		}
+		lits = append(lits, le, ge)
+	}
+	for _, v := range f.BoolVars {
+		lits = append(lits, sat.MkLit(sys.BoolSolverVar(v), !asn.Bools[v]))
+	}
+	return lits
+}
+
+// checkExact verifies that solver s, which holds the encoding sys of f,
+// agrees with the ground truth evaluator on EVERY full assignment of the
+// source variables: s under assumptions pinning each variable must answer
+// Sat exactly when ir.Formula.Satisfied does. This is stronger than
+// equisatisfiability — it proves the encoding is a faithful definition of
+// f over the source vocabulary.
+func checkExact(t *testing.T, f *ir.Formula, sys *System, s *sat.Solver) {
+	t.Helper()
+	if sys.Tr.Unsat {
+		// The tripletizer folded the formula to false; the ground truth
+		// must agree on every assignment, which the empty-clause encoding
+		// trivially matches — verify there is no satisfying assignment.
+		if st := s.Solve(); st != sat.Unsat {
+			t.Fatalf("folded-unsat formula solved as %v", st)
+		}
+		forEachAssignment(f, func(asn *ir.Assignment) bool {
+			if f.Satisfied(asn) {
+				t.Errorf("encoder folded to unsat but %v satisfies the formula", renderAsn(f, asn))
+				return false
+			}
+			return true
+		})
+		return
+	}
+	forEachAssignment(f, func(asn *ir.Assignment) bool {
 		want := f.Satisfied(asn)
-		got := sys.Solve(assumptions...) == sat.Sat
+		got := s.Solve(pinLits(t, f, sys, asn)...) == sat.Sat
 		if got != want {
 			t.Errorf("assignment %v: encoded=%v ground-truth=%v", renderAsn(f, asn), got, want)
 			return false
 		}
 		return true
+	})
+}
+
+// checkEncodingExact compiles f and checks the encoding with checkExact.
+func checkEncodingExact(t *testing.T, f *ir.Formula) {
+	t.Helper()
+	sys, err := Compile(f)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
 	}
-	walk(0, 0)
+	checkExact(t, f, sys, sys.S)
+}
+
+// checkExportExact checks the encoding of f as it leaves the process: it
+// is written in OPB, read back into a fresh solver, and that solver must
+// pass checkExact under the same pinning literals. Every pinning literal
+// is built before the export, so the file holds its definition too.
+func checkExportExact(t *testing.T, f *ir.Formula) {
+	t.Helper()
+	sys, err := Compile(f)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if !sys.Tr.Unsat {
+		forEachAssignment(f, func(asn *ir.Assignment) bool {
+			pinLits(t, f, sys, asn)
+			return true
+		})
+	}
+	var buf bytes.Buffer
+	if err := sys.S.WriteOPB(&buf); err != nil {
+		t.Fatalf("write OPB: %v", err)
+	}
+	s, _, err := sat.ParseOPB(&buf)
+	if err != nil {
+		t.Fatalf("parse OPB: %v", err)
+	}
+	// Variables that occur in no constraint are absent from the file;
+	// declare them so solver variable numbers line up.
+	for s.NumVariables() < sys.S.NumVariables() {
+		s.NewVar()
+	}
+	checkExact(t, f, sys, s)
+}
+
+// checkNegationExact checks the encoding of ¬f over f's variables. The
+// gate cache shares one wire between a subformula and its complement, so
+// an assert under negation reaches every gate with the opposite polarity
+// from f's own encoding.
+func checkNegationExact(t *testing.T, f *ir.Formula) {
+	t.Helper()
+	if len(f.Linear) > 0 {
+		t.Fatalf("negation of linear rows is not expressible as an assert")
+	}
+	neg := &ir.Formula{
+		IntVars:  f.IntVars,
+		BoolVars: f.BoolVars,
+		Asserts:  []ir.BoolExpr{ir.NotE(ir.And(f.Asserts...))},
+	}
+	checkEncodingExact(t, neg)
+}
+
+// checkModelCount enumerates the models of the encoding of f projected
+// onto the source variables' solver bits. Each must decode to a distinct
+// assignment that satisfies f, and there must be exactly as many as the
+// ground truth counts — so the encoding neither loses a solution nor
+// admits a value outside a variable's declared range.
+func checkModelCount(t *testing.T, f *ir.Formula) {
+	t.Helper()
+	want := 0
+	forEachAssignment(f, func(asn *ir.Assignment) bool {
+		if f.Satisfied(asn) {
+			want++
+		}
+		return true
+	})
+	sys, err := Compile(f)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if sys.Tr.Unsat {
+		if want != 0 {
+			t.Errorf("encoder folded to unsat but %d assignments satisfy the formula", want)
+		}
+		return
+	}
+	var vars []sat.Var
+	for _, v := range f.IntVars {
+		for _, l := range sys.B.vecs[sys.Tr.SourceInt[v.ID]] {
+			vars = append(vars, l.Var())
+		}
+	}
+	for _, v := range f.BoolVars {
+		vars = append(vars, sys.BoolSolverVar(v))
+	}
+	seen := map[string]bool{}
+	got := sys.S.EnumerateModels(vars, want+1, func(map[sat.Var]bool) bool {
+		asn := sys.Model()
+		key := renderAsn(f, asn)
+		if seen[key] {
+			t.Errorf("model %v enumerated twice", key)
+			return false
+		}
+		seen[key] = true
+		if !f.Satisfied(asn) {
+			t.Errorf("model %v does not satisfy the formula", key)
+			return false
+		}
+		return true
+	})
+	if !t.Failed() && got != want {
+		t.Errorf("encoding has %d models, ground truth %d", got, want)
+	}
 }
 
 func renderAsn(f *ir.Formula, a *ir.Assignment) string {
@@ -194,11 +302,7 @@ func tinyFormulas() map[string]*ir.Formula {
 
 func TestEquisatTinyCorpus(t *testing.T) {
 	for name, f := range tinyFormulas() {
-		for _, m := range encodingModes {
-			t.Run(name+"/"+m.name, func(t *testing.T) {
-				checkEncodingExact(t, f, m.opts)
-			})
-		}
+		t.Run(name, func(t *testing.T) { runEquisatChecks(t, f) })
 	}
 }
 
@@ -284,18 +388,13 @@ func TestEquisatFuzzSeeds(t *testing.T) {
 		if space > 1<<10 {
 			continue
 		}
-		for _, m := range encodingModes {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, m.name), func(t *testing.T) {
-				checkEncodingExact(t, f, m.opts)
-			})
-		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runEquisatChecks(t, f) })
 	}
 }
 
-// TestHashingReducesEncoding pins the headline property of the hashed
-// path: on a formula with heavy structural sharing it must emit strictly
-// fewer solver variables and clause literals than the legacy path, and the
-// gate cache must report genuine reuse.
+// TestHashingReducesEncoding pins the headline property of structural
+// hashing: on a formula with heavy structural sharing the gate cache must
+// report genuine reuse, and its accounting must balance.
 func TestHashingReducesEncoding(t *testing.T) {
 	f := ir.NewFormula()
 	var terms []ir.IntExpr
@@ -306,21 +405,11 @@ func TestHashingReducesEncoding(t *testing.T) {
 	for i, v := range terms {
 		f.Require(ir.Le(ir.Add(sum, v), ir.Const(40+int64(i))))
 	}
-	legacy, err := CompileWith(f, Options{DisableHashing: true})
+	sys, err := Compile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashed, err := CompileWith(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hv, lv := hashed.S.NumVariables(), legacy.S.NumVariables(); hv >= lv {
-		t.Errorf("hashed path emitted %d vars, legacy %d — no reduction", hv, lv)
-	}
-	if hl, ll := hashed.S.Stats.NumLiterals, legacy.S.Stats.NumLiterals; hl >= ll {
-		t.Errorf("hashed path emitted %d literals, legacy %d — no reduction", hl, ll)
-	}
-	st := hashed.B.Stats()
+	st := sys.B.Stats()
 	if st.GatesRequested == 0 || st.GatesEmitted == 0 {
 		t.Fatalf("no gate accounting: %+v", st)
 	}

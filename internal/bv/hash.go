@@ -7,43 +7,6 @@ import (
 	"satalloc/internal/sat"
 )
 
-// Comparator selects the circuit family used for comparisons against
-// constants: integer range assertions, relational triplets with a constant
-// side, and the binary search's cost-probe literals (CmpConstLit).
-type Comparator int
-
-const (
-	// ComparatorAdder is the subtract-based comparator of §5.1: the sign
-	// bit of x − k at width w+1. Under structural hashing the constant
-	// operand folds each full adder down to a two-input carry gate, so the
-	// hashed adder comparator is a carry chain plus one sum bit.
-	ComparatorAdder Comparator = iota
-	// ComparatorLadder is a totalizer-style unary chain: scanning the
-	// offset-binary bits LSB→MSB, each step is a single two-input AND/OR
-	// gate, and chains for nearby bounds share prefixes through the gate
-	// cache. It applies only to constant bounds; variable-variable
-	// comparisons always use the adder.
-	ComparatorLadder
-)
-
-// ParseComparator maps a CLI/flag spelling to a Comparator.
-func ParseComparator(s string) (Comparator, error) {
-	switch s {
-	case "", "adder":
-		return ComparatorAdder, nil
-	case "ladder":
-		return ComparatorLadder, nil
-	}
-	return 0, fmt.Errorf("bv: unknown comparator %q (want adder or ladder)", s)
-}
-
-func (c Comparator) String() string {
-	if c == ComparatorLadder {
-		return "ladder"
-	}
-	return "adder"
-}
-
 // EncodeStats counts gate-level work during bit-blasting. A "gate" is one
 // request for a Boolean function of up to three literals (AND, XOR, XOR3,
 // MAJ); vector circuits are built from these. Requested = Emitted + Folded
@@ -66,9 +29,6 @@ func (st EncodeStats) GatesReused() int64 {
 // growing as CmpConstLit builds probe circuits after the initial blast,
 // which is how the optimizer measures per-iteration encode work.
 func (b *Blaster) Stats() EncodeStats { return b.stats }
-
-// hashed reports whether this blaster runs the structural-hashing path.
-func (b *Blaster) hashed() bool { return b.cache != nil }
 
 type gateOp uint8
 
@@ -300,9 +260,9 @@ func (b *Blaster) majLit(x, y, z sat.Lit) sat.Lit {
 	return g
 }
 
-// addVecH returns x + y + cin (mod 2^w) as a wire vector; bits are gate
-// outputs (or constants) rather than fresh equated variables.
-func (b *Blaster) addVecH(x, y []sat.Lit, cin sat.Lit) []sat.Lit {
+// addVec returns x + y + cin (mod 2^w) as a vector of gate outputs (or
+// constants).
+func (b *Blaster) addVec(x, y []sat.Lit, cin sat.Lit) []sat.Lit {
 	out := make([]sat.Lit, len(x))
 	c := cin
 	for i := range x {
@@ -312,13 +272,13 @@ func (b *Blaster) addVecH(x, y []sat.Lit, cin sat.Lit) []sat.Lit {
 	return out
 }
 
-// subVecH returns x − y (mod 2^w) via x + ¬y + 1.
-func (b *Blaster) subVecH(x, y []sat.Lit) []sat.Lit {
-	return b.addVecH(x, negVec(y), b.lTrue)
+// subVec returns x − y (mod 2^w) via x + ¬y + 1.
+func (b *Blaster) subVec(x, y []sat.Lit) []sat.Lit {
+	return b.addVec(x, negVec(y), b.lTrue)
 }
 
-// mulVecH is the shift-add multiplier over hashed partial products.
-func (b *Blaster) mulVecH(x, y []sat.Lit) []sat.Lit {
+// mulVec is the shift-add multiplier over hashed partial products.
+func (b *Blaster) mulVec(x, y []sat.Lit) []sat.Lit {
 	w := len(x)
 	lF := b.lTrue.Not()
 	acc := make([]sat.Lit, w)
@@ -333,14 +293,14 @@ func (b *Blaster) mulVecH(x, y []sat.Lit) []sat.Lit {
 		for i := j; i < w; i++ {
 			row[i] = b.andLit(x[i-j], y[j])
 		}
-		acc = b.addVecH(acc, row, lF)
+		acc = b.addVec(acc, row, lF)
 	}
 	return acc
 }
 
-// mulConstVecH multiplies by a constant over the constant's set bits; the
+// mulConstVec multiplies by a constant over the constant's set bits; the
 // initial zero accumulator and shifted-in zero bits fold away entirely.
-func (b *Blaster) mulConstVecH(x []sat.Lit, c int64, w int) []sat.Lit {
+func (b *Blaster) mulConstVec(x []sat.Lit, c int64, w int) []sat.Lit {
 	neg := false
 	if c < 0 {
 		neg = true
@@ -360,17 +320,17 @@ func (b *Blaster) mulConstVecH(x []sat.Lit, c int64, w int) []sat.Lit {
 		for i := j; i < w; i++ {
 			row[i] = x[i-j]
 		}
-		acc = b.addVecH(acc, row, lF)
+		acc = b.addVec(acc, row, lF)
 	}
 	if neg {
-		return b.subVecH(zero, acc)
+		return b.subVec(zero, acc)
 	}
 	return acc
 }
 
-// eqLitH returns a literal ⇔ (x = y) as an XNOR-AND chain; per-bit XORs
+// eqLit returns a literal ⇔ (x = y) as an XNOR-AND chain; per-bit XORs
 // against constant operands fold to wires.
-func (b *Blaster) eqLitH(x, y []sat.Lit) sat.Lit {
+func (b *Blaster) eqLit(x, y []sat.Lit) sat.Lit {
 	acc := b.lTrue
 	for i := range x {
 		acc = b.andLit(acc, b.xorLit(x[i], y[i]).Not())
@@ -378,10 +338,10 @@ func (b *Blaster) eqLitH(x, y []sat.Lit) sat.Lit {
 	return acc
 }
 
-// signOfSubH returns the sign bit of x − y computed over the carry chain
+// signOfSub returns the sign bit of x − y computed over the carry chain
 // only: the unused low sum bits of the subtraction are never materialized,
 // so a comparator costs one MAJ per bit plus one final XOR3.
-func (b *Blaster) signOfSubH(x, y []sat.Lit) sat.Lit {
+func (b *Blaster) signOfSub(x, y []sat.Lit) sat.Lit {
 	w := len(x)
 	c := b.lTrue
 	for i := 0; i < w-1; i++ {
@@ -390,50 +350,19 @@ func (b *Blaster) signOfSubH(x, y []sat.Lit) sat.Lit {
 	return b.xor3Lit(x[w-1], y[w-1].Not(), c)
 }
 
-// signBitOfDiffH is signBitOfDiff over the carry-only subtractor.
-func (b *Blaster) signBitOfDiffH(xa, ya ir.Atom) sat.Lit {
+// signBitOfDiff returns the sign bit of x − y over atoms, computed at
+// width w+1 so the subtraction cannot wrap.
+func (b *Blaster) signBitOfDiff(xa, ya ir.Atom) sat.Lit {
 	w := max(b.atomWidth(xa), b.atomWidth(ya)) + 1
-	return b.signOfSubH(b.atomVec(xa, w), b.atomVec(ya, w))
+	return b.signOfSub(b.atomVec(xa, w), b.atomVec(ya, w))
 }
 
-// ladderLE returns a literal ⇔ (v ≤ k) for the signed vector v, as a unary
-// LSB→MSB chain over the offset-binary form (sign bit flipped, bound
-// shifted by 2^(w−1)): at each position the chain literal is a single
-// AND/OR gate, so bounds sharing low offset bits share chain prefixes.
-func (b *Blaster) ladderLE(vec []sat.Lit, k int64) sat.Lit {
-	w := len(vec)
-	min := int64(-1) << (w - 1)
-	max := -min - 1
-	if k >= max {
-		return b.lTrue
-	}
-	if k < min {
-		return b.lTrue.Not()
-	}
-	kb := uint64(k - min)
-	le := b.lTrue
-	for i := 0; i < w; i++ {
-		y := vec[i]
-		if i == w-1 {
-			y = y.Not() // offset-binary: flip the sign bit
-		}
-		// v[0..i] ≤ kb[0..i] ⇔ (v_i < kb_i) ∨ (v_i = kb_i ∧ le_{i−1}).
-		if kb&(1<<uint(i)) != 0 {
-			le = b.orLit(y.Not(), le)
-		} else {
-			le = b.andLit(y.Not(), le)
-		}
-	}
-	return le
-}
-
-// blastHashed is the structural-hashing encoding pass. It differs from the
-// legacy pass in two structural ways: defined integers and Booleans alias
-// their circuit's output wires instead of being equated to fresh variables
-// (sound because ToTriplets emits definitions in topological order, each
-// result defined exactly once), and every gate goes through the
+// blast is the encoding pass. Only free variables get fresh solver
+// literals: defined integers and Booleans alias their circuit's output
+// wires (sound because ToTriplets emits definitions in topological order,
+// each result defined exactly once), and every gate goes through the
 // fold/cache layer above.
-func (b *Blaster) blastHashed() error {
+func (b *Blaster) blast() error {
 	tr := b.Tr
 	defInt := make([]bool, len(tr.Ints))
 	for _, d := range tr.IntDefs {
@@ -467,17 +396,17 @@ func (b *Blaster) blastHashed() error {
 		b.rangeAsserts(vec, info)
 	}
 	for _, d := range tr.IntDefs {
-		if err := b.blastIntDefH(d); err != nil {
+		if err := b.blastIntDef(d); err != nil {
 			return err
 		}
 	}
 	for _, d := range tr.CmpDefs {
-		if err := b.blastCmpDefH(d); err != nil {
+		if err := b.blastCmpDef(d); err != nil {
 			return err
 		}
 	}
 	for _, g := range tr.Gates {
-		if err := b.blastGateH(g); err != nil {
+		if err := b.blastGate(g); err != nil {
 			return err
 		}
 	}
@@ -495,14 +424,14 @@ func (b *Blaster) rangeAsserts(vec []sat.Lit, info ir.IntInfo) {
 	min := int64(-1) << (w - 1)
 	max := -min - 1
 	if info.Lo > min {
-		b.assertCmpConst(vec, info.Lo, true)
+		b.out.AddClause(b.cmpConstLit(vec, info.Lo, false))
 	}
 	if info.Hi < max {
-		b.assertCmpConst(vec, info.Hi, false)
+		b.out.AddClause(b.cmpConstLit(vec, info.Hi, true))
 	}
 }
 
-func (b *Blaster) blastIntDefH(d ir.IntDef) error {
+func (b *Blaster) blastIntDef(d ir.IntDef) error {
 	info := b.Tr.Ints[d.Res]
 	w := widthFor(info.Lo, info.Hi)
 	x := b.atomVec(d.A, w)
@@ -510,17 +439,17 @@ func (b *Blaster) blastIntDefH(d ir.IntDef) error {
 	var out []sat.Lit
 	switch d.Op {
 	case ir.OpAdd:
-		out = b.addVecH(x, y, b.lTrue.Not())
+		out = b.addVec(x, y, b.lTrue.Not())
 	case ir.OpSub:
-		out = b.subVecH(x, y)
+		out = b.subVec(x, y)
 	case ir.OpMul:
 		switch {
 		case d.A.IsConst:
-			out = b.mulConstVecH(y, d.A.Const, w)
+			out = b.mulConstVec(y, d.A.Const, w)
 		case d.B.IsConst:
-			out = b.mulConstVecH(x, d.B.Const, w)
+			out = b.mulConstVec(x, d.B.Const, w)
 		default:
-			out = b.mulVecH(x, y)
+			out = b.mulVec(x, y)
 		}
 	default:
 		return fmt.Errorf("bv: unknown arithmetic operator %v", d.Op)
@@ -532,8 +461,7 @@ func (b *Blaster) blastIntDefH(d ir.IntDef) error {
 	return nil
 }
 
-// leLit returns a literal ⇔ (x ≤ y) over atoms, routing constant bounds
-// through the selected comparator family.
+// leLit returns a literal ⇔ (x ≤ y) over atoms.
 func (b *Blaster) leLit(xa, ya ir.Atom) sat.Lit {
 	if xa.IsConst && ya.IsConst {
 		if xa.Const <= ya.Const {
@@ -541,20 +469,11 @@ func (b *Blaster) leLit(xa, ya ir.Atom) sat.Lit {
 		}
 		return b.lTrue.Not()
 	}
-	if b.opts.Comparator == ComparatorLadder {
-		if ya.IsConst {
-			return b.ladderLE(b.vecs[xa.Var], ya.Const)
-		}
-		if xa.IsConst {
-			// k ≤ v ⇔ ¬(v ≤ k−1).
-			return b.ladderLE(b.vecs[ya.Var], xa.Const-1).Not()
-		}
-	}
 	// x ≤ y ⇔ ¬sign(y − x).
-	return b.signBitOfDiffH(ya, xa).Not()
+	return b.signBitOfDiff(ya, xa).Not()
 }
 
-func (b *Blaster) blastCmpDefH(d ir.CmpDef) error {
+func (b *Blaster) blastCmpDef(d ir.CmpDef) error {
 	var p sat.Lit
 	switch d.Op {
 	case ir.OpLE:
@@ -564,7 +483,7 @@ func (b *Blaster) blastCmpDefH(d ir.CmpDef) error {
 		p = b.leLit(d.B, d.A).Not()
 	case ir.OpEQ, ir.OpNE:
 		w := max(b.atomWidth(d.A), b.atomWidth(d.B))
-		p = b.eqLitH(b.atomVec(d.A, w), b.atomVec(d.B, w))
+		p = b.eqLit(b.atomVec(d.A, w), b.atomVec(d.B, w))
 		if d.Op == ir.OpNE {
 			p = p.Not()
 		}
@@ -575,7 +494,7 @@ func (b *Blaster) blastCmpDefH(d ir.CmpDef) error {
 	return nil
 }
 
-func (b *Blaster) blastGateH(g ir.Gate) error {
+func (b *Blaster) blastGate(g ir.Gate) error {
 	q := b.blit(g.Q)
 	r := b.blit(g.R)
 	var p sat.Lit
@@ -595,45 +514,4 @@ func (b *Blaster) blastGateH(g ir.Gate) error {
 	}
 	b.bools[g.P] = p
 	return nil
-}
-
-// assertCmpConstH asserts v ≥ k (ge) or v ≤ k through the selected
-// comparator family.
-func (b *Blaster) assertCmpConstH(vec []sat.Lit, k int64, ge bool) {
-	var l sat.Lit
-	if b.opts.Comparator == ComparatorLadder {
-		if ge {
-			l = b.ladderLE(vec, k-1).Not()
-		} else {
-			l = b.ladderLE(vec, k)
-		}
-	} else {
-		w := len(vec) + 1
-		x := signExtend(vec, w)
-		y := b.constVec(k, w)
-		if ge {
-			l = b.signOfSubH(x, y).Not() // sign(v − k); ≥ ⇔ ¬sign
-		} else {
-			l = b.signOfSubH(y, x).Not()
-		}
-	}
-	b.out.AddClause(l)
-}
-
-// cmpConstLitH builds the (un-memoized) probe literal for v ≤ k / v ≥ k.
-func (b *Blaster) cmpConstLitH(id int, k int64, le bool) sat.Lit {
-	vec := b.vecs[id]
-	if b.opts.Comparator == ComparatorLadder {
-		if le {
-			return b.ladderLE(vec, k)
-		}
-		return b.ladderLE(vec, k-1).Not() // v ≥ k ⇔ ¬(v ≤ k−1)
-	}
-	w := len(vec) + 1
-	x := signExtend(vec, w)
-	y := b.constVec(k, w)
-	if le {
-		return b.signOfSubH(y, x).Not() // k − v ≥ 0
-	}
-	return b.signOfSubH(x, y).Not() // v − k ≥ 0
 }

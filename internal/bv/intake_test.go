@@ -44,6 +44,24 @@ func TestTable1RingEncodingSize(t *testing.T) {
 	}
 }
 
+// TestTable1CANEncodingSize pins the bit-blasted size of Table 1's CAN
+// instance (the T43 workload on a CAN bus, partitioned to 12 tasks,
+// minimum bus utilization), the second spec of the paper's Table 1.
+func TestTable1CANEncodingSize(t *testing.T) {
+	sys := workload.Partition(workload.T43CAN(), 12)
+	enc, err := encode.Encode(sys, encode.Options{Objective: encode.MinimizeBusUtilization, ObjectiveMedium: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sat.New()
+	if _, err := bv.BlastWith(s, ir.ToTriplets(enc.F), bv.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumVariables() != 16042 || s.Stats.NumLiterals != 121438 {
+		t.Errorf("blast = %d vars, %d literals; want 16042, 121438", s.NumVariables(), s.Stats.NumLiterals)
+	}
+}
+
 // TestBlastAllocationBudget bounds the bytes one bit-blast of Table 1's
 // token ring allocates. The count is a property of the intake path, not
 // of host speed: recording the circuit in a flat batch and loading it at

@@ -129,34 +129,3 @@ func TestWidthForQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: the CNF-carry ablation mode computes the same arithmetic as
-// the paper's PB-carry encoding.
-func TestCarryEncodingsAgreeQuick(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 40}
-	err := quick.Check(func(x8, y8 int8) bool {
-		xv, yv := int64(x8)%25, int64(y8)%25
-		for _, cnf := range []bool{false, true} {
-			f := ir.NewFormula()
-			x := f.Int("x", -25, 25)
-			y := f.Int("y", -25, 25)
-			s := f.Int("s", -50, 50)
-			p := f.Int("p", -625, 625)
-			f.Require(ir.Eq(x, ir.Const(xv)))
-			f.Require(ir.Eq(y, ir.Const(yv)))
-			f.Require(ir.Eq(s, ir.Add(x, y)))
-			f.Require(ir.Eq(p, ir.Mul(x, y)))
-			sys, err := CompileWith(f, Options{CarryAsCNF: cnf})
-			if err != nil || sys.Solve() != sat.Sat {
-				return false
-			}
-			if sys.Int(s) != xv+yv || sys.Int(p) != xv*yv {
-				return false
-			}
-		}
-		return true
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-}

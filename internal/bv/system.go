@@ -21,42 +21,20 @@ type System struct {
 
 // Compile transforms and bit-blasts f into a fresh solver.
 func Compile(f *ir.Formula) (*System, error) {
-	return CompileInto(sat.New(), f)
+	return CompileIntoWith(sat.New(), f, Options{})
 }
 
-// CompileInto transforms and bit-blasts f into an existing solver, which
-// may already hold constraints (it must be at decision level 0).
-func CompileInto(s *sat.Solver, f *ir.Formula) (*System, error) {
-	return CompileIntoWith(s, f, Options{})
-}
-
-// CompileWith is Compile with explicit encoding options.
-func CompileWith(f *ir.Formula, opts Options) (*System, error) {
-	return CompileIntoWith(sat.New(), f, opts)
-}
-
-// CompileIntoWith is CompileInto with explicit encoding options.
+// CompileIntoWith transforms and bit-blasts f into an existing solver,
+// which may already hold constraints (it must be at decision level 0).
 func CompileIntoWith(s *sat.Solver, f *ir.Formula, opts Options) (*System, error) {
 	tsp := opts.Trace.Child("Triplet")
 	tr := ir.ToTriplets(f)
 	tsp.Attr("int_defs", len(tr.IntDefs)).Attr("cmp_defs", len(tr.CmpDefs)).
 		Attr("gates", len(tr.Gates)).End()
-	bsp := opts.Trace.Child("BitBlast")
 	b, err := BlastWith(s, tr, opts)
 	if err != nil {
-		bsp.Attr("error", err.Error()).End()
 		return nil, err
 	}
-	bsp.Attr("vars", s.NumVariables()).Attr("clauses", s.Stats.NumClauses).
-		Attr("pb", s.Stats.NumPB).Attr("literals", s.Stats.NumLiterals)
-	if b.hashed() {
-		st := b.Stats()
-		bsp.Attr("gates_requested", st.GatesRequested).
-			Attr("gates_emitted", st.GatesEmitted).
-			Attr("gates_folded", st.GatesFolded).
-			Attr("gates_reused", st.GatesReused())
-	}
-	bsp.End()
 	return &System{F: f, Tr: tr, B: b, S: s}, nil
 }
 

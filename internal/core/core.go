@@ -54,15 +54,6 @@ type Config struct {
 	// FreshSolverPerCall disables the learned-clause reuse of §7 and
 	// rebuilds the solver for every SOLVE call of the binary search.
 	FreshSolverPerCall bool
-	// Comparator selects the bit-blaster's comparator family for constant
-	// bounds: bv.ComparatorAdder (default, the paper's subtract-based
-	// circuit) or bv.ComparatorLadder (totalizer-style unary chains). See
-	// encode.Options.Comparator.
-	Comparator bv.Comparator
-	// DisableHashing turns off the bit-blaster's structural hashing and
-	// reverts to the legacy one-circuit-per-triplet encoding (ablation
-	// and A/B benchmarking only).
-	DisableHashing bool
 	// MaxConflictsPerCall aborts runaway solves; 0 = unlimited.
 	MaxConflictsPerCall int64
 	// Workers sets the clause-sharing CDCL portfolio size for each SOLVE
@@ -234,8 +225,6 @@ func SolveContext(ctx context.Context, sys *model.System, cfg Config) (sol *Solu
 		Objective:       cfg.Objective,
 		ObjectiveMedium: objMedium,
 		Trace:           cfg.Trace,
-		Comparator:      cfg.Comparator,
-		DisableHashing:  cfg.DisableHashing,
 	}
 	enc, err := encode.Encode(sys, encOpts)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 
-	"satalloc/internal/bv"
 	"satalloc/internal/ir"
 	"satalloc/internal/model"
 	"satalloc/internal/obs"
@@ -68,17 +67,6 @@ type Options struct {
 	// Trace, when set, is the parent span under which Encode records its
 	// work. Nil disables tracing.
 	Trace *obs.Span
-	// Comparator selects the bit-blaster's circuit family for comparisons
-	// against constants (range assertions, constant-sided relational
-	// constraints, and the optimizer's cost probes): the subtract-based
-	// adder comparator (default) or the totalizer-style unary ladder. See
-	// bv.Comparator.
-	Comparator bv.Comparator
-	// DisableHashing turns off the bit-blaster's structural hashing
-	// (gate-level CSE, constant folding, and output aliasing), restoring
-	// the legacy one-circuit-per-triplet encoding. For ablations and A/B
-	// benchmarks only.
-	DisableHashing bool
 	// Groups, when set, guards every model-level constraint family behind
 	// a named selector variable (see ConstraintGroup): solving under the
 	// assumption "all selectors true" reproduces the plain encoding, and

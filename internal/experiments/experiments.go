@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"satalloc/internal/baseline"
-	"satalloc/internal/bv"
 	"satalloc/internal/core"
 	"satalloc/internal/encode"
 	"satalloc/internal/flightrec"
@@ -434,81 +433,4 @@ func FormatHistory(r *HistoryRow) string {
 func FormatReuse(r *ReuseRow) string {
 	return fmt.Sprintf("§7 learned-clause reuse: incremental %s vs fresh %s → speedup %.2fx (costs agree: %v)\n",
 		r.Incremental.Round(time.Millisecond), r.Fresh.Round(time.Millisecond), r.Speedup, r.CostsAgree)
-}
-
-// EncodeStatsRow describes one encoder configuration applied to one
-// Table-1 spec: formula size after bit-blasting plus the structural-
-// hashing gate accounting (all-zero for the legacy encoder, which keeps
-// no gate cache).
-type EncodeStatsRow struct {
-	Spec      string
-	Encoder   string
-	Vars      int
-	Literals  int64
-	Requested int64
-	Emitted   int64
-	Folded    int64
-	Reused    int64
-}
-
-// EncodeStatsTable bit-blasts the Table-1 specs — compile only, no
-// solving — under the legacy encoder and both structural-hashing
-// comparator variants, and reports the gate accounting behind the
-// satalloc_encode_* series. This is the `make encode-stats` view of the
-// encoding-size trajectory: the legacy row is the baseline formula size,
-// the hash rows show how much of it CSE and constant folding remove.
-func EncodeStatsTable(m Mode) ([]EncodeStatsRow, error) {
-	nRing, nCAN := table1Sizes(m)
-	specs := []struct {
-		name string
-		sys  *model.System
-		opts encode.Options
-	}{
-		{fmt.Sprintf("[5] ring %d tasks", nRing), workload.Partition(workload.T43(), nRing),
-			encode.Options{Objective: encode.MinimizeTRT, ObjectiveMedium: -1}},
-		{fmt.Sprintf("[5] + CAN %d tasks", nCAN), workload.Partition(workload.T43CAN(), nCAN),
-			encode.Options{Objective: encode.MinimizeBusUtilization, ObjectiveMedium: -1}},
-	}
-	encoders := []struct {
-		name string
-		opts bv.Options
-	}{
-		{"legacy", bv.Options{DisableHashing: true}},
-		{"hash/adder", bv.Options{Comparator: bv.ComparatorAdder}},
-		{"hash/ladder", bv.Options{Comparator: bv.ComparatorLadder}},
-	}
-	var rows []EncodeStatsRow
-	for _, spec := range specs {
-		enc, err := encode.Encode(spec.sys, spec.opts)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range encoders {
-			compiled, err := bv.CompileWith(enc.F, e.opts)
-			if err != nil {
-				return nil, err
-			}
-			st := compiled.B.Stats()
-			rows = append(rows, EncodeStatsRow{
-				Spec: spec.name, Encoder: e.name,
-				Vars: compiled.S.NumVariables(), Literals: compiled.S.Stats.NumLiterals,
-				Requested: st.GatesRequested, Emitted: st.GatesEmitted,
-				Folded: st.GatesFolded, Reused: st.GatesReused(),
-			})
-		}
-	}
-	return rows, nil
-}
-
-// FormatEncodeStats renders the EncodeStatsTable gate-accounting table.
-func FormatEncodeStats(rows []EncodeStatsRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Encoding size: Table-1 specs by encoder (compile only, no solving)\n")
-	fmt.Fprintf(&b, "%-22s %-12s %9s %12s %10s %10s %9s %9s\n",
-		"Spec", "Encoder", "Vars", "Literals", "Requested", "Emitted", "Folded", "Reused")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %-12s %9d %12d %10d %10d %9d %9d\n",
-			r.Spec, r.Encoder, r.Vars, r.Literals, r.Requested, r.Emitted, r.Folded, r.Reused)
-	}
-	return b.String()
 }

@@ -4,76 +4,44 @@ import (
 	"fmt"
 	"testing"
 
-	"satalloc/internal/bv"
 	"satalloc/internal/encode"
 	"satalloc/internal/model"
 	"satalloc/internal/workload"
 )
 
-// encoderVariants enumerates the encoder configurations the optimizer can
-// run under: structural hashing on/off crossed with both comparator
-// families. The legacy blaster ignores the comparator knob, but running
-// both combinations proves the knob cannot perturb it.
-var encoderVariants = []struct {
-	name    string
-	cmp     bv.Comparator
-	disable bool
-}{
-	{"legacy/adder", bv.ComparatorAdder, true},
-	{"legacy/ladder", bv.ComparatorLadder, true},
-	{"hash/adder", bv.ComparatorAdder, false},
-	{"hash/ladder", bv.ComparatorLadder, false},
-}
-
-// TestEquisatSpecsAcrossEncoders is the spec-level half of the
-// equisatisfiability harness (the bv package holds the formula-level,
-// exhaustive half): paper-shaped specs go through encode + Minimize under
-// every encoder variant, and all variants must report the identical
-// status and optimal cost. Instances are kept small so the whole matrix
-// stays fast under -race (`make equisat` runs it there).
+// TestEquisatSpecsAcrossEncoders is the spec-level half of the equisatisfiability
+// harness (the bv package holds the formula-level, exhaustive half):
+// paper-shaped specs go through encode + Minimize and must report the
+// status and optimal cost pinned here. The pins are the values on which
+// the legacy unhashed encoder and both comparator families of the hashed
+// one agreed before those variants were removed, which is what the name
+// still refers to. Instances are kept small
+// so the test stays fast under -race (`make equisat` runs it there).
 func TestEquisatSpecsAcrossEncoders(t *testing.T) {
 	specs := []struct {
 		name string
 		sys  *model.System
 		obj  encode.Objective
+		cost int64
 	}{
-		{"table1-ring", workload.Partition(workload.T43(), 8), encode.MinimizeTRT},
-		{"table1-can", workload.Partition(workload.T43CAN(), 8), encode.MinimizeBusUtilization},
-		{"table2-ring4", table2Spec(4), encode.MinimizeTRT},
-		{"tiny-ring", tinyRing(), encode.MinimizeTRT},
+		{"table1-ring", workload.Partition(workload.T43(), 8), encode.MinimizeTRT, 18},
+		{"table1-can", workload.Partition(workload.T43CAN(), 8), encode.MinimizeBusUtilization, 33},
+		{"table2-ring4", table2Spec(4), encode.MinimizeTRT, 10},
+		{"tiny-ring", tinyRing(), encode.MinimizeTRT, 4},
 	}
 	for _, spec := range specs {
 		t.Run(spec.name, func(t *testing.T) {
-			type outcome struct {
-				status Status
-				cost   int64
+			enc, err := encode.Encode(spec.sys, encode.Options{Objective: spec.obj, ObjectiveMedium: -1})
+			if err != nil {
+				t.Fatalf("encode: %v", err)
 			}
-			var want *outcome
-			for _, v := range encoderVariants {
-				enc, err := encode.Encode(spec.sys, encode.Options{
-					Objective:       spec.obj,
-					ObjectiveMedium: -1,
-					Comparator:      v.cmp,
-					DisableHashing:  v.disable,
-				})
-				if err != nil {
-					t.Fatalf("%s: encode: %v", v.name, err)
-				}
-				res, err := Minimize(enc, Options{Incremental: true})
-				if err != nil {
-					t.Fatalf("%s: minimize: %v", v.name, err)
-				}
-				got := outcome{res.Status, res.Cost}
-				if want == nil {
-					want = &got
-					t.Logf("%s: status=%v cost=%d vars=%d literals=%d",
-						v.name, res.Status, res.Cost, res.Vars, res.Literals)
-					continue
-				}
-				if got != *want {
-					t.Errorf("%s: status=%v cost=%d, want status=%v cost=%d (encoder variants disagree)",
-						v.name, got.status, got.cost, want.status, want.cost)
-				}
+			res, err := Minimize(enc, Options{Incremental: true})
+			if err != nil {
+				t.Fatalf("minimize: %v", err)
+			}
+			t.Logf("status=%v cost=%d vars=%d literals=%d", res.Status, res.Cost, res.Vars, res.Literals)
+			if res.Status != Optimal || res.Cost != spec.cost {
+				t.Errorf("status=%v cost=%d, want optimal cost=%d", res.Status, res.Cost, spec.cost)
 			}
 		})
 	}

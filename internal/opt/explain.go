@@ -124,11 +124,7 @@ func ExplainInfeasible(msys *model.System, encOpts encode.Options, opts Options)
 			opts.ObserveProof(lg)
 		}
 	}
-	sys, err := bv.CompileIntoWith(s, enc.F, bv.Options{
-		Trace:          sp,
-		Comparator:     encOpts.Comparator,
-		DisableHashing: encOpts.DisableHashing,
-	})
+	sys, err := bv.CompileIntoWith(s, enc.F, bv.Options{Trace: sp})
 	if err != nil {
 		return nil, err
 	}

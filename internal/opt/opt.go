@@ -177,8 +177,7 @@ type IterStats struct {
 	// of the formula the call had to pay for. Incremental mode reuses the
 	// hashed gate graph across probes, so GatesBuilt collapses to the few
 	// comparator gates of the new bounds; that contrast is the encode-side
-	// half of the §7 incremental-speedup claim. Both are zero when the
-	// encoding ran with DisableHashing.
+	// half of the §7 incremental-speedup claim.
 	GatesBuilt  int64
 	GatesReused int64
 	Duration    time.Duration
@@ -331,11 +330,7 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 			}
 		}
 		var err error
-		sys, err = bv.CompileIntoWith(s, enc.F, bv.Options{
-			Trace:          opts.Trace,
-			Comparator:     enc.Opts.Comparator,
-			DisableHashing: enc.Opts.DisableHashing,
-		})
+		sys, err = bv.CompileIntoWith(s, enc.F, bv.Options{Trace: opts.Trace})
 		if err != nil {
 			return err
 		}
@@ -691,10 +686,7 @@ func verify(enc *encode.Encoding, res *Result) error {
 // is the one-hot placement variables only: allocations differing in
 // routes, slots or local deadlines but not placement count once.
 func EnumerateOptimalPlacements(enc *encode.Encoding, optimal int64, limit int, fn func(*model.Allocation) bool) (int, error) {
-	sys, err := bv.CompileWith(enc.F, bv.Options{
-		Comparator:     enc.Opts.Comparator,
-		DisableHashing: enc.Opts.DisableHashing,
-	})
+	sys, err := bv.Compile(enc.F)
 	if err != nil {
 		return 0, err
 	}
