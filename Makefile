@@ -89,11 +89,12 @@ bench-harness:
 
 ## equisat: the encoder against ground truth, under the race detector —
 ## every hand-built and fuzz-seeded formula's encoding must agree with
-## direct evaluation on every assignment, the gate cache's accounting
+## direct evaluation on every assignment, every constant-bound PB row
+## must admit exactly the enumerated values, the gate cache's accounting
 ## must balance, and the Table-1/Table-2 specs must reach their pinned
 ## verdicts and optimal costs.
 equisat:
-	$(GO) test -race -count 1 -run 'Equisat|HashingReduces' ./internal/bv ./internal/opt
+	$(GO) test -race -count 1 -run 'Equisat|HashingReduces|ConstBound' ./internal/bv ./internal/opt
 
 ## ops-smoke: end-to-end check of the ops HTTP listener — builds the real
 ## allocate binary, scrapes /healthz, /metrics and /progress against a

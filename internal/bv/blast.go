@@ -5,7 +5,10 @@
 // multiplier circuits (the carry of the full adder is axiomatized with the
 // paper's pair of pseudo-Boolean constraints, eq. 19), and relational
 // triplets become comparator circuits. Linear rows over Booleans skip the
-// circuits: each becomes one pseudo-Boolean constraint.
+// circuits: each becomes one pseudo-Boolean constraint. So do constant
+// bounds on one integer (the range asserts and the optimizer's
+// CmpConstLit probes): each side is one binary-weighted PB row over the
+// integer's bits (boundRow), with no carry chain.
 //
 // The blaster structurally hashes the circuit (hash.go): every gate goes
 // through a canonicalizing cache, constants fold before emission, and
@@ -37,8 +40,8 @@ type Options struct {
 // records every variable, clause and PB constraint in a sat.Batch and
 // hands the whole batch to sat.Solver.Load once the circuit is complete —
 // at the end of BlastWith for the formula, and at the end of each
-// CmpConstLit call for a probe circuit. The batch is dropped right after
-// its Load, so it never outlives the call that built it.
+// CmpConstLit call for a probe's selector and rows. The batch is dropped
+// right after its Load, so it never outlives the call that built it.
 type Blaster struct {
 	S  *sat.Solver
 	Tr *ir.Triplets
@@ -243,19 +246,45 @@ func (b *Blaster) xorGate(g, x, y sat.Lit) {
 	b.out.AddClause(g, x, y.Not())
 }
 
-// cmpConstLit returns a literal ⇔ (v ≤ k) when le, else (v ≥ k), for the
-// signed vector v: the subtract-based comparator of §5.1, the clear sign
-// bit of k − v or v − k at width w+1. The constant operand folds each full
-// adder down to a two-input carry gate, so the comparator is a carry chain
-// plus one sum bit.
-func (b *Blaster) cmpConstLit(vec []sat.Lit, k int64, le bool) sat.Lit {
-	w := len(vec) + 1
-	x := signExtend(vec, w)
-	y := b.constVec(k, w)
-	if le {
-		return b.signOfSub(y, x).Not() // k − v ≥ 0
+// boundRow returns the pseudo-Boolean row Σ terms ≥ bound that states
+// v ≤ k when le, else v ≥ k, over the bits b_i of the signed w-bit vector
+// v. With ℓ_i = b_i below the sign bit and ℓ_{w−1} = ¬b_{w−1},
+// v + 2^{w−1} = Σ 2^i·ℓ_i, so
+//
+//	v ≥ k ⇔ Σ 2^i·ℓ_i ≥ k + 2^{w−1}
+//	v ≤ k ⇔ Σ 2^i·¬ℓ_i ≥ (2^w − 1) − (k + 2^{w−1}).
+//
+// Bits the blaster fixed to constants fold into the bound, so bound ≤ 0
+// means the relation holds for every value of v and bound > Σ coefficients
+// that it holds for none. A k outside v's range folds the same way before
+// the bound arithmetic could overflow.
+func (b *Blaster) boundRow(vec []sat.Lit, k int64, le bool) ([]sat.PBTerm, int64) {
+	w := len(vec)
+	half := int64(1) << (w - 1)
+	switch {
+	case le && k >= half-1, !le && k <= -half:
+		return nil, 0
+	case le && k < -half, !le && k >= half:
+		return nil, 1
 	}
-	return b.signOfSub(x, y).Not() // v − k ≥ 0
+	bound := k + half
+	if le {
+		bound = 2*half - 1 - bound
+	}
+	terms := make([]sat.PBTerm, 0, w)
+	for i, l := range vec {
+		if (i == w-1) != le {
+			l = l.Not()
+		}
+		switch c := int64(1) << i; l {
+		case b.lTrue:
+			bound -= c
+		case b.lTrue.Not():
+		default:
+			terms = append(terms, sat.PBTerm{Coef: c, Lit: l})
+		}
+	}
+	return terms, bound
 }
 
 // cmpConstKey memoizes CmpConstLit: integer variable, bound, direction.
@@ -269,18 +298,45 @@ type cmpConstKey struct {
 // the triplet integer variable id satisfies (≤ k) when le, or (≥ k)
 // otherwise. The optimizer passes these literals as assumptions to confine
 // the objective during binary search without poisoning the clause database.
+// The literal is a fresh selector s tied to v by two rows of boundRow,
+// each guarded by the big-M term (its bound)·¬guard: s → (v ≤ k) and
+// ¬s → (v ≥ k+1), mirrored for ≥. It builds no gate. A bound that every
+// value of v meets, or none does, returns the constant literal.
 func (b *Blaster) CmpConstLit(id int, k int64, le bool) (sat.Lit, error) {
 	key := cmpConstKey{id, k, le}
 	if l, ok := b.cmpConstMemo[key]; ok {
 		return l, nil
 	}
-	b.out = sat.NewBatch(b.S)
-	l := b.cmpConstLit(b.vecs[id], k, le)
-	if err := b.load(); err != nil {
-		return sat.LitUndef, err
+	vec := b.vecs[id]
+	terms, bound := b.boundRow(vec, k, le)
+	var room int64
+	for _, t := range terms {
+		room += t.Coef
 	}
-	b.cmpConstMemo[key] = l
-	return l, nil
+	var s sat.Lit
+	switch {
+	case bound <= 0:
+		s = b.lTrue
+	case bound > room:
+		s = b.lTrue.Not()
+	default:
+		// The complement of v ≤ k is v ≥ k+1, of v ≥ k is v ≤ k−1; k is
+		// inside v's range here, so k±1 cannot overflow.
+		nk := k + 1
+		if !le {
+			nk = k - 1
+		}
+		nterms, nbound := b.boundRow(vec, nk, !le)
+		b.out = sat.NewBatch(b.S)
+		s = b.newLit()
+		b.out.AddPB(append(terms, sat.PBTerm{Coef: bound, Lit: s.Not()}), bound)
+		b.out.AddPB(append(nterms, sat.PBTerm{Coef: nbound, Lit: s}), nbound)
+		if err := b.load(); err != nil {
+			return sat.LitUndef, err
+		}
+	}
+	b.cmpConstMemo[key] = s
+	return s, nil
 }
 
 // IntValue decodes the value of triplet integer variable id from the

@@ -25,9 +25,10 @@ func (st EncodeStats) GatesReused() int64 {
 	return st.GatesRequested - st.GatesEmitted - st.GatesFolded
 }
 
-// Stats returns the gate counters accumulated so far. Counters keep
-// growing as CmpConstLit builds probe circuits after the initial blast,
-// which is how the optimizer measures per-iteration encode work.
+// Stats returns the gate counters accumulated so far. Only the blast
+// requests gates: CmpConstLit's probe rows build none, so an optimizer
+// that diffs the counters per call charges gates only to a call that
+// re-encodes the formula.
 func (b *Blaster) Stats() EncodeStats { return b.stats }
 
 type gateOp uint8
@@ -417,17 +418,14 @@ func (b *Blaster) blast() error {
 	return nil
 }
 
-// rangeAsserts adds lo ≤ v ≤ hi when the vector's width admits values
-// outside the declared range.
+// rangeAsserts adds lo ≤ v ≤ hi, one PB row per side, when the vector's
+// width admits values outside the declared range.
 func (b *Blaster) rangeAsserts(vec []sat.Lit, info ir.IntInfo) {
-	w := len(vec)
-	min := int64(-1) << (w - 1)
-	max := -min - 1
-	if info.Lo > min {
-		b.out.AddClause(b.cmpConstLit(vec, info.Lo, false))
+	if terms, bound := b.boundRow(vec, info.Lo, false); bound > 0 {
+		b.out.AddPB(terms, bound)
 	}
-	if info.Hi < max {
-		b.out.AddClause(b.cmpConstLit(vec, info.Hi, true))
+	if terms, bound := b.boundRow(vec, info.Hi, true); bound > 0 {
+		b.out.AddPB(terms, bound)
 	}
 }
 

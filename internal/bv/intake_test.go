@@ -39,8 +39,8 @@ func TestTable1RingEncodingSize(t *testing.T) {
 	if _, err := bv.BlastWith(s, tr, bv.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumVariables() != 28076 || s.Stats.NumLiterals != 226394 {
-		t.Errorf("blast = %d vars, %d literals; want 28076, 226394", s.NumVariables(), s.Stats.NumLiterals)
+	if s.NumVariables() != 22833 || s.Stats.NumLiterals != 192276 {
+		t.Errorf("blast = %d vars, %d literals; want 22833, 192276", s.NumVariables(), s.Stats.NumLiterals)
 	}
 }
 
@@ -57,8 +57,8 @@ func TestTable1CANEncodingSize(t *testing.T) {
 	if _, err := bv.BlastWith(s, ir.ToTriplets(enc.F), bv.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumVariables() != 16042 || s.Stats.NumLiterals != 121438 {
-		t.Errorf("blast = %d vars, %d literals; want 16042, 121438", s.NumVariables(), s.Stats.NumLiterals)
+	if s.NumVariables() != 12640 || s.Stats.NumLiterals != 101805 {
+		t.Errorf("blast = %d vars, %d literals; want 12640, 101805", s.NumVariables(), s.Stats.NumLiterals)
 	}
 }
 

@@ -115,6 +115,33 @@ func TestOptimumMatchesExhaustive(t *testing.T) {
 	t.Logf("%d of 48 specs feasible", feasible)
 }
 
+// TestOneSidedSeparationMatchesExhaustive drops the lower-ID task's entry
+// of every separated pair of a generated spec, which model.Validate
+// accepts: the pair must still be kept apart, so the verdict and the
+// optimum stay the oracle's.
+func TestOneSidedSeparationMatchesExhaustive(t *testing.T) {
+	sys := workload.Tiny(47, 50)
+	dropped := 0
+	for _, task := range sys.Tasks {
+		kept := task.Separation[:0]
+		for _, other := range task.Separation {
+			if other > task.ID {
+				dropped++
+				continue
+			}
+			kept = append(kept, other)
+		}
+		task.Separation = kept
+	}
+	if dropped == 0 {
+		t.Fatal("spec has no separated pair")
+	}
+	if err := sys.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	checkOptimum(t, sys)
+}
+
 // FuzzOptimum runs the differential check on generated specs: the seed
 // picks the instance and util the per-ECU utilization, folded into
 // 60–110 %.

@@ -256,12 +256,27 @@ func (e *Encoding) encodeAllocation() error {
 		}
 	}
 	// Redundancy: δ_i tasks must not share an ECU (second conjunct of
-	// eq. 4).
+	// eq. 4). Either task of a pair may list it; each unordered pair is
+	// emitted once, at its lower-ID task, so its group reads (lower,
+	// higher). A pair listed only on its higher-ID task joins the lower
+	// task's own list at its end.
+	partners := map[int][]int{}
 	for _, t := range e.Sys.Tasks {
 		for _, other := range t.Separation {
-			if other < t.ID {
-				continue // handled once per unordered pair
+			if other > t.ID {
+				partners[t.ID] = append(partners[t.ID], other)
 			}
+		}
+	}
+	for _, t := range e.Sys.Tasks {
+		for _, other := range t.Separation {
+			if other < t.ID && !slices.Contains(partners[other], t.ID) {
+				partners[other] = append(partners[other], t.ID)
+			}
+		}
+	}
+	for _, t := range e.Sys.Tasks {
+		for _, other := range partners[t.ID] {
 			e.begin(GroupSeparation, t.Name+"+"+e.Sys.TaskByID(other).Name)
 			for p, v1 := range e.alloc[t.ID] {
 				if v2, ok := e.alloc[other][p]; ok {

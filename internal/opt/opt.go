@@ -175,9 +175,9 @@ type IterStats struct {
 	// structural-hashing cache while building this call's cost-bound
 	// probes — plus, in fresh (non-incremental) mode, the full re-encode
 	// of the formula the call had to pay for. Incremental mode reuses the
-	// hashed gate graph across probes, so GatesBuilt collapses to the few
-	// comparator gates of the new bounds; that contrast is the encode-side
-	// half of the §7 incremental-speedup claim.
+	// hashed gate graph across probes, and a cost bound is a selector with
+	// two PB rows, not a circuit, so GatesBuilt is 0 there; that contrast
+	// is the encode-side half of the §7 incremental-speedup claim.
 	GatesBuilt  int64
 	GatesReused int64
 	Duration    time.Duration
@@ -307,7 +307,7 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 	var proofLogs []*proof.Log
 	// One encode-metrics hook per compiled blaster (its delta state must
 	// restart with the blaster's counters), re-fired after every solve to
-	// pick up the cost-probe circuits built since.
+	// pick up the cost-probe selectors and rows added since.
 	var encHook func(requested, emitted, folded, reused int64, vars int, literals int64)
 	reportEncode := func() {
 		if encHook == nil {

@@ -192,7 +192,7 @@ type Solver struct {
 	// journal, when non-nil, records every NewVar/AddClause/AddPB so the
 	// parallel portfolio can load the deltas into its worker solvers
 	// (they must mirror the base solver's variable numbering and clause
-	// database exactly — assumption literals and bound circuits built
+	// database exactly — assumption literals and the bound rows added
 	// between SOLVE calls land in all workers this way).
 	journal *Batch
 
