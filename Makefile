@@ -53,11 +53,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimum$$' -fuzztime $(FUZZTIME) ./internal/core
 
 ## race-parallel: the clause-sharing portfolio's concurrency tests under the
-## race detector, runnable on their own (CI gives them a dedicated step).
-## baseline rides along: its parallel SA restarts carry the same
-## WaitGroup spawn contract satlint's goroutine check enforces.
+## race detector, runnable on their own (CI gives them a dedicated step):
+## the sat workers, the binary search over them, and core's wiring.
 race-parallel:
-	$(GO) test -race -count 1 -run Parallel ./internal/sat ./internal/opt ./internal/core ./internal/baseline
+	$(GO) test -race -count 1 -run Parallel ./internal/sat ./internal/opt ./internal/core
 
 ## bench: the solver and solver-intake micro-benchmarks (hooks disabled),
 ## for regression spotting.

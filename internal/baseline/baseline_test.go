@@ -8,6 +8,7 @@ import (
 	"satalloc/internal/model"
 	"satalloc/internal/opt"
 	"satalloc/internal/rta"
+	"satalloc/internal/workload"
 )
 
 func tinySystem(seed int64) *model.System {
@@ -196,35 +197,6 @@ func TestObjectiveMaxECUUtil(t *testing.T) {
 	}
 }
 
-// tinyHierarchical builds a 2-bus system with a gateway-only node and one
-// cross-bus message.
-func tinyHierarchical(seed int64) *model.System {
-	rng := rand.New(rand.NewSource(seed))
-	s := &model.System{Name: "tiny2bus"}
-	s.ECUs = []*model.ECU{
-		{ID: 0, Name: "p0"}, {ID: 1, Name: "p1"},
-		{ID: 2, Name: "gw", GatewayOnly: true, ServiceCost: 1},
-		{ID: 3, Name: "p3"},
-	}
-	mk := func(id int, ecus []int) *model.Medium {
-		return &model.Medium{ID: id, Name: "k", Kind: model.TokenRing, ECUs: ecus,
-			TimePerUnit: 1, SlotQuantum: 2, MaxSlots: 3}
-	}
-	s.Media = []*model.Medium{mk(0, []int{0, 1, 2}), mk(1, []int{2, 3})}
-	s.Tasks = []*model.Task{
-		{ID: 0, Name: "a", Period: 60, Deadline: 60,
-			WCET: map[int]int64{0: 5 + int64(rng.Intn(4)), 1: 6}, Allowed: []int{0, 1}, Messages: []int{0}},
-		{ID: 1, Name: "b", Period: 60, Deadline: 60,
-			WCET: map[int]int64{3: 5 + int64(rng.Intn(4))}, Allowed: []int{3}},
-		{ID: 2, Name: "c", Period: 30, Deadline: 30,
-			WCET: map[int]int64{0: 4, 1: 4, 3: 4 + int64(rng.Intn(3))}},
-	}
-	s.Messages = []*model.Message{
-		{ID: 0, Name: "m", From: 0, To: 1, Size: 1 + int64(rng.Intn(2)), Deadline: 45 + int64(rng.Intn(10))},
-	}
-	return s
-}
-
 // TestHierarchicalSATWithinOracle: on two-bus instances the exhaustive
 // oracle (which fixes the per-hop deadline split heuristically) gives an
 // upper bound on the true optimum; the SAT search, which optimizes the
@@ -234,7 +206,7 @@ func TestHierarchicalSATWithinOracle(t *testing.T) {
 	opts := encode.Options{Objective: encode.MinimizeSumTRT, ObjectiveMedium: -1}
 	checked := 0
 	for seed := int64(0); seed < 8; seed++ {
-		s := tinyHierarchical(seed)
+		s := workload.TinyTwoBus(seed)
 		ex := Exhaustive(s, opts, 0)
 		enc, err := encode.Encode(s, opts)
 		if err != nil {

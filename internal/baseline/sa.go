@@ -7,7 +7,6 @@ import (
 
 	"satalloc/internal/encode"
 	"satalloc/internal/model"
-	"satalloc/internal/obs"
 )
 
 // ctxCheckSteps is the annealing-step interval between context polls: the
@@ -26,15 +25,8 @@ type SAOptions struct {
 	// Ctx, when set, makes the annealer cancellable: it is polled every
 	// ctxCheckSteps steps and at restart boundaries, and on cancellation
 	// the best result found so far is returned (anytime behaviour, like
-	// the exact arm). Nil means never cancelled.
+	// the exact search). Nil means never cancelled.
 	Ctx context.Context
-	// Trace, when set, is the parent span under which ParallelSA records
-	// one SA[i] span per restart. Nil disables tracing.
-	Trace *obs.Span
-	// Logf, when set, receives per-restart outcome lines from ParallelSA.
-	// It is invoked from the restart goroutines and must be safe for
-	// concurrent use.
-	Logf func(format string, args ...any)
 }
 
 // DefaultSAOptions mirrors a typical Tindell-style parameterization.

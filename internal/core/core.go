@@ -59,8 +59,7 @@ type Config struct {
 	// Workers sets the clause-sharing CDCL portfolio size for each SOLVE
 	// call of the binary search (see opt.Options.Workers): ≥ 2 races that
 	// many diversified workers, ≤ 1 (including the zero value) keeps the
-	// sequential solver. In SolvePortfolio the exact arm becomes this
-	// parallel portfolio.
+	// sequential solver.
 	Workers int
 	// Proof enables DRAT-modulo-PB proof logging and checking (see
 	// opt.Options.Proof): every UNSAT verdict of the run — including the
@@ -82,9 +81,7 @@ type Config struct {
 	// DiagnosticsDir is where panic repro bundles are written; empty uses
 	// DefaultDiagnosticsDir.
 	DiagnosticsDir string
-	// Logf receives progress lines when set. SolvePortfolio invokes it
-	// from both arms concurrently, so it must be safe for concurrent use
-	// there.
+	// Logf receives progress lines when set.
 	Logf func(format string, args ...any)
 	// Trace, when set, is the parent span under which the whole pipeline
 	// (Encode → Triplet → BitBlast → Solve[i] → Decode → Verify) records

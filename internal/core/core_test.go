@@ -2,14 +2,10 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
-	"satalloc/internal/baseline"
 	"satalloc/internal/model"
-	"satalloc/internal/obs"
 	"satalloc/internal/rta"
 	"satalloc/internal/workload"
 )
@@ -245,94 +241,5 @@ func TestReadAllocationDefaultsPriorities(t *testing.T) {
 	}
 	if len(a.TaskPrio) != len(sys.Tasks) {
 		t.Fatal("missing priorities must default to deadline-monotonic")
-	}
-}
-
-func TestSolvePortfolio(t *testing.T) {
-	sys := smallSystem()
-	saOpts := baseline.DefaultSAOptions()
-	saOpts.Steps = 1000
-	saOpts.Restarts = 2
-	res, err := SolvePortfolio(sys, Config{Objective: MinimizeTRT}, saOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exact == nil || !res.Exact.Feasible {
-		t.Fatal("exact arm must solve the small system")
-	}
-	if res.Incumbent != nil {
-		if res.IncumbentCost < res.Exact.Cost {
-			t.Fatalf("incumbent %d undercuts proven optimum %d", res.IncumbentCost, res.Exact.Cost)
-		}
-		if !rta.Analyze(sys, res.Incumbent).Schedulable {
-			t.Fatal("incumbent not schedulable")
-		}
-	}
-	if res.ExactAt <= 0 {
-		t.Fatal("ExactAt must record when the exact arm finished")
-	}
-}
-
-// syncLog is a concurrency-safe log recorder for the portfolio's two arms.
-type syncLog struct {
-	mu    sync.Mutex
-	lines []string
-}
-
-func (l *syncLog) logf(format string, args ...any) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.lines = append(l.lines, fmt.Sprintf(format, args...))
-}
-
-func (l *syncLog) joined() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return strings.Join(l.lines, "\n")
-}
-
-// TestSolvePortfolioObservability checks that the incumbent-arrival event
-// (or the heuristic losing the race) is logged, and that the SA arm is
-// recorded as a span next to the exact pipeline's spans.
-func TestSolvePortfolioObservability(t *testing.T) {
-	sys := smallSystem()
-	saOpts := baseline.DefaultSAOptions()
-	saOpts.Steps = 500
-	saOpts.Restarts = 2
-
-	var lg syncLog
-	// The tracer serializes span writes under its own mutex, so a plain
-	// buffer is safe even with both arms ending spans concurrently.
-	var buf bytes.Buffer
-	tr := obs.NewTracer(&buf)
-	root := tr.Start("portfolio")
-	res, err := SolvePortfolio(sys, Config{Objective: MinimizeTRT, Logf: lg.logf, Trace: root}, saOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	if err := tr.Err(); err != nil {
-		t.Fatal(err)
-	}
-	logs := lg.joined()
-	switch {
-	case res.Incumbent != nil:
-		if !strings.Contains(logs, "incumbent cost=") {
-			t.Fatalf("incumbent arrival not logged:\n%s", logs)
-		}
-	default:
-		if !strings.Contains(logs, "lost the race") {
-			t.Fatalf("heuristic loss not logged:\n%s", logs)
-		}
-	}
-	out := buf.String()
-	if !strings.Contains(out, `"span":"SA-arm"`) {
-		t.Fatalf("trace missing SA-arm span:\n%s", out)
-	}
-	if !strings.Contains(out, `"span":"SA[0]"`) || !strings.Contains(out, `"span":"SA[1]"`) {
-		t.Fatalf("trace missing per-restart SA spans:\n%s", out)
-	}
-	if !strings.Contains(out, `"span":"Solve[1]"`) {
-		t.Fatalf("trace missing exact arm's Solve spans:\n%s", out)
 	}
 }

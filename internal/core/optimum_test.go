@@ -23,13 +23,15 @@ func objectiveFor(sys *model.System) Objective {
 	return MinimizeTRT
 }
 
+// simHorizon is a common multiple of every period the Tiny and TinyTwoBus
+// generators draw, so a simulation covers whole hyperperiods.
+const simHorizon = 2400
+
 // checkOptimum is the differential check of one generated spec. The
 // exhaustive oracle and the SAT binary search must agree on the verdict
 // and the optimal cost, for the sequential solver under proof logging and
-// for a two-worker portfolio; every UNSAT probe of the proof-logged run
-// must certify; and a feasible verdict's allocation must pass the
-// response-time analysis, with every response the discrete-event
-// simulator observes within the analysed bound. It returns the verdict.
+// for a two-worker portfolio, and the proof-logged verdict must pass
+// checkEvidence. It returns the verdict.
 func checkOptimum(t *testing.T, sys *model.System) (feasible bool) {
 	t.Helper()
 	obj := objectiveFor(sys)
@@ -58,13 +60,23 @@ func checkOptimum(t *testing.T, sys *model.System) (feasible bool) {
 			t.Fatalf("%s %s: optimum %d, exhaustive %d", sys.Name, run.name, run.sol.Cost, ex.Cost)
 		}
 	}
+	checkEvidence(t, sys, seq)
+	return ex.Feasible
+}
 
-	cert := seq.Certificate
+// checkEvidence checks what backs a proof-logged solve's verdict: every
+// UNSAT probe must certify, and a feasible verdict's allocation must pass
+// the response-time analysis, with every task response and end-to-end
+// message latency the discrete-event simulator observes within the
+// analysed bound.
+func checkEvidence(t *testing.T, sys *model.System, sol *Solution) {
+	t.Helper()
+	cert := sol.Certificate
 	if cert == nil {
 		t.Fatalf("%s: no certificate under Proof", sys.Name)
 	}
 	unsat := 0
-	for _, it := range seq.Iters {
+	for _, it := range sol.Iters {
 		if it.Status == sat.Unsat {
 			unsat++
 		}
@@ -74,32 +86,30 @@ func checkOptimum(t *testing.T, sys *model.System) (feasible bool) {
 			sys.Name, unsat, cert.Probes, cert.RootConflicts)
 	}
 
-	if !ex.Feasible {
-		return false
+	if !sol.Feasible {
+		return
 	}
-	a := seq.Allocation
+	a := sol.Allocation
 	res := rta.Analyze(sys, a)
 	if !res.Schedulable {
 		t.Fatalf("%s: decoded allocation fails the RTA: %v", sys.Name, res.Violations)
 	}
 	// The simulator times a job from its nominal release, the analysis
 	// from its jittered activation, so a task's bound is w + J.
-	const horizon = 2400 // the hyperperiod of the generator's periods
 	for _, ecu := range sys.ECUs {
-		for id, o := range sim.SimulateECU(sys, a, ecu.ID, horizon) {
+		for id, o := range sim.SimulateECU(sys, a, ecu.ID, simHorizon) {
 			if bound := res.TaskResponse[id] + sys.TaskByID(id).Jitter; o.MaxResponse > bound {
 				t.Fatalf("%s: task %d simulated response %d > RTA bound %d",
 					sys.Name, id, o.MaxResponse, bound)
 			}
 		}
 	}
-	for id, o := range sim.SimulateSystem(sys, a, horizon) {
+	for id, o := range sim.SimulateSystem(sys, a, simHorizon) {
 		if bound := sim.EndToEndBound(sys, a, id); o.Deliveries > 0 && o.MaxLatency > bound {
 			t.Fatalf("%s: message %d simulated latency %d > bound %d",
 				sys.Name, id, o.MaxLatency, bound)
 		}
 	}
-	return true
 }
 
 // TestOptimumMatchesExhaustive sweeps the per-ECU utilization of the
@@ -113,6 +123,48 @@ func TestOptimumMatchesExhaustive(t *testing.T) {
 		}
 	}
 	t.Logf("%d of 48 specs feasible", feasible)
+}
+
+// TestTwoBusOptimumWithinOracle runs the certified sequential solve on
+// specs whose one message crosses a gateway. The exhaustive oracle splits
+// the message's deadline evenly over the hops, so on these specs its cost
+// is only achievable, not minimal: an oracle-feasible spec must be proven
+// optimal at no more than the oracle's cost. The verdict's evidence,
+// including the simulated latency across the gateway, is checked on every
+// seed.
+func TestTwoBusOptimumWithinOracle(t *testing.T) {
+	checked := 0
+	for seed := int64(0); seed < 8; seed++ {
+		sys := workload.TinyTwoBus(seed)
+		ex := baseline.Exhaustive(sys, encode.Options{Objective: MinimizeSumTRT, ObjectiveMedium: -1}, 0)
+		sol, err := Solve(sys, Config{Objective: MinimizeSumTRT, Workers: 1, Proof: true})
+		if err != nil {
+			t.Fatalf("%s: %v", sys.Name, err)
+		}
+		if ex.Feasible {
+			if sol.Status != opt.Optimal {
+				t.Fatalf("%s: oracle feasible at cost %d, solve says %v", sys.Name, ex.Cost, sol.Status)
+			}
+			if sol.Cost > ex.Cost {
+				t.Fatalf("%s: optimum %d above the oracle's achievable %d", sys.Name, sol.Cost, ex.Cost)
+			}
+			checked++
+		}
+		checkEvidence(t, sys, sol)
+		if !sol.Feasible {
+			continue
+		}
+		if hops := len(sol.Allocation.Route[0]); hops != 2 {
+			t.Fatalf("%s: message routed over %d media, want both rings", sys.Name, hops)
+		}
+		if o := sim.SimulateSystem(sys, sol.Allocation, simHorizon)[0]; o == nil || o.Deliveries == 0 {
+			t.Fatalf("%s: simulator delivered no instance of the gateway message", sys.Name)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no oracle-feasible two-bus spec")
+	}
+	t.Logf("%d of 8 two-bus specs oracle-feasible", checked)
 }
 
 // TestOneSidedSeparationMatchesExhaustive drops the lower-ID task's entry

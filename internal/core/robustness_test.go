@@ -8,15 +8,13 @@ import (
 	"strings"
 	"testing"
 
-	"satalloc/internal/baseline"
 	"satalloc/internal/faultinject"
 	"satalloc/internal/opt"
 )
 
 // These tests exercise the robustness layer: panic containment with repro
-// bundles, per-arm fault isolation in the portfolio, and graceful
-// degradation under cancellation. The faultinject registry is global, so
-// none of them may run in parallel.
+// bundles and graceful degradation under cancellation. The faultinject
+// registry is global, so none of them may run in parallel.
 
 func TestPanicContainmentWritesReproBundle(t *testing.T) {
 	defer faultinject.Set(faultinject.PanicAt(faultinject.SiteSatSolve, 1, "injected solver panic"))()
@@ -82,50 +80,6 @@ func TestPanicAfterInjectionCountSolvesNormally(t *testing.T) {
 	}
 	if !sol.Feasible || sol.Status != opt.Optimal {
 		t.Fatalf("solve degraded under an idle hook: %+v", sol.Status)
-	}
-}
-
-func TestPortfolioExactArmPanicKeepsIncumbent(t *testing.T) {
-	defer faultinject.Set(faultinject.PanicAt(faultinject.SitePortfolioExact, 1, "exact arm down"))()
-	sys := smallSystem()
-	cfg := Config{Objective: MinimizeTRT, DiagnosticsDir: t.TempDir()}
-	res, err := SolvePortfolio(sys, cfg, baseline.DefaultSAOptions())
-	if res == nil {
-		// Legitimate only when the heuristic found nothing to rescue the
-		// run with; then the exact arm's death is the call's error.
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("no incumbent and error %T (%v), want *PanicError", err, err)
-		}
-		t.Skip("heuristic arm found no incumbent on this run; nothing to rescue")
-	}
-	if err != nil {
-		t.Fatalf("incumbent present, so the call must succeed: %v", err)
-	}
-	if res.Incumbent == nil {
-		t.Fatal("surviving result must carry the heuristic incumbent")
-	}
-	var pe *PanicError
-	if !errors.As(res.ExactErr, &pe) {
-		t.Fatalf("ExactErr is %T (%v), want *PanicError", res.ExactErr, res.ExactErr)
-	}
-	if res.Exact != nil {
-		t.Fatal("a dead exact arm cannot have produced a Solution")
-	}
-}
-
-func TestPortfolioSAArmPanicContained(t *testing.T) {
-	defer faultinject.Set(faultinject.PanicAt(faultinject.SitePortfolioSA, 1, "SA arm down"))()
-	sys := smallSystem()
-	res, err := SolvePortfolio(sys, Config{Objective: MinimizeTRT}, baseline.DefaultSAOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Incumbent != nil {
-		t.Fatal("a dead heuristic arm cannot have produced an incumbent")
-	}
-	if res.Exact == nil || !res.Exact.Feasible || res.Exact.Status != opt.Optimal {
-		t.Fatal("exact arm must survive the heuristic arm's panic untouched")
 	}
 }
 

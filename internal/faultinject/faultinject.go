@@ -26,10 +26,6 @@ const (
 	// SiteSatParallelWorker fires on each portfolio worker's goroutine as
 	// its race leg begins (before the worker's Solve call).
 	SiteSatParallelWorker = "sat.parallel.worker"
-	// SitePortfolioExact fires at the start of the portfolio's exact arm.
-	SitePortfolioExact = "portfolio.exact"
-	// SitePortfolioSA fires at the start of the portfolio's heuristic arm.
-	SitePortfolioSA = "portfolio.sa"
 	// SiteServeAdmit fires in the allocation daemon's admission path, after
 	// the spec parsed but before the job is registered and enqueued.
 	SiteServeAdmit = "serve.admit"

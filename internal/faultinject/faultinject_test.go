@@ -46,7 +46,7 @@ func TestConcurrentFire(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				Fire(SitePortfolioExact)
+				Fire(SiteSatSolve)
 			}
 		}()
 	}

@@ -32,10 +32,10 @@ type Event struct {
 	// AtUS is microseconds since the recorder was created.
 	AtUS int64 `json:"at_us"`
 	// Kind names the event source, dot-scoped by layer: "sat.solve",
-	// "sat.restart", "sat.reduce", "sat.done", "opt.iter", "opt.bounds",
-	// "opt.incumbent", "opt.budget", "opt.warmstart", "core.solve.start",
-	// "core.solve.end", "core.panic", "portfolio.incumbent",
-	// "portfolio.arm".
+	// "sat.restart", "sat.reduce", "sat.done", "sat.worker", "opt.iter",
+	// "opt.bounds", "opt.incumbent", "opt.budget", "opt.warmstart",
+	// "core.solve.start", "core.solve.end", "core.panic", "core.explain",
+	// "proof.check".
 	Kind string `json:"kind"`
 	// Detail is a human-readable "k=v ..." line with the event payload.
 	Detail string `json:"detail,omitempty"`

@@ -88,8 +88,6 @@ func TestNilSafety(t *testing.T) {
 	m.RecordSolveStart()
 	m.RecordSolveEnd("optimal")
 	m.RecordPanic()
-	m.RecordArmIncumbent(4)
-	m.RecordArmFailure()
 }
 
 // promLine matches a sample line of the text exposition format.

@@ -59,11 +59,9 @@ type SolverMetrics struct {
 	EncodeVars           *Gauge   // solver variables after the last bit-blast
 	EncodeLiterals       *Gauge   // clause literals after the last bit-blast
 
-	// core.Solve phases and portfolio arms.
+	// core.Solve phases.
 	SolvesStarted *Counter
 	Panics        *Counter
-	ArmIncumbents *Counter
-	ArmFailures   *Counter
 
 	// Clause-sharing CDCL portfolio (sat.ParallelSolver).
 	ParallelWorkers *Gauge   // configured portfolio size (0: sequential)
@@ -119,8 +117,6 @@ func NewSolverMetrics(r *Registry) *SolverMetrics {
 
 		SolvesStarted: r.Counter("satalloc_core_solves_started_total", "core.Solve pipeline runs started", nil),
 		Panics:        r.Counter("satalloc_core_panics_total", "panics contained at the core.Solve boundary", nil),
-		ArmIncumbents: r.Counter("satalloc_portfolio_incumbents_total", "heuristic-arm incumbents delivered", nil),
-		ArmFailures:   r.Counter("satalloc_portfolio_arm_failures_total", "portfolio arms lost to contained panics", nil),
 
 		ParallelWorkers: r.Gauge("satalloc_parallel_workers", "CDCL portfolio size (0: sequential)", nil),
 		SharedExported:  r.Counter("satalloc_parallel_shared_exported_total", "learnt clauses published to the exchange pool", nil),
@@ -277,27 +273,6 @@ func (m *SolverMetrics) RecordPanic() {
 		return
 	}
 	m.Panics.Inc()
-}
-
-// RecordArmIncumbent counts a heuristic-arm incumbent and publishes its
-// cost.
-func (m *SolverMetrics) RecordArmIncumbent(cost int64) {
-	if m == nil {
-		return
-	}
-	m.ArmIncumbents.Inc()
-	// The portfolio's heuristic incumbent and the exact arm's R both feed
-	// the same "best model so far" gauge; whichever reported last wins,
-	// matching the live view a scraper wants.
-	m.IncumbentCost.Set(cost)
-}
-
-// RecordArmFailure counts a portfolio arm lost to a contained panic.
-func (m *SolverMetrics) RecordArmFailure() {
-	if m == nil {
-		return
-	}
-	m.ArmFailures.Inc()
 }
 
 // RecordParallelWorkers publishes the configured CDCL-portfolio size.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 
 	"satalloc/internal/model"
 )
@@ -104,6 +105,38 @@ func SwapMediumToCAN(s *model.System, mediumID int) *model.System {
 			m.Kind = model.CAN
 			m.Name += "-can"
 		}
+	}
+	return s
+}
+
+// TinyTwoBus returns a spec small enough for baseline.Exhaustive that
+// still crosses a gateway: two token rings joined by a task-free gateway
+// node (ECU 2), three tasks, and one message from a task on the first
+// ring to a task pinned to ECU 3 on the second, so every route takes
+// both hops. The seed varies WCETs, the message size and its deadline.
+func TinyTwoBus(seed int64) *model.System {
+	rng := rand.New(rand.NewSource(seed))
+	s := &model.System{Name: fmt.Sprintf("tiny2bus-s%d", seed)}
+	s.ECUs = []*model.ECU{
+		{ID: 0, Name: "p0"}, {ID: 1, Name: "p1"},
+		{ID: 2, Name: "gw", GatewayOnly: true, ServiceCost: 1},
+		{ID: 3, Name: "p3"},
+	}
+	mk := func(id int, ecus []int) *model.Medium {
+		return &model.Medium{ID: id, Name: "k", Kind: model.TokenRing, ECUs: ecus,
+			TimePerUnit: 1, SlotQuantum: 2, MaxSlots: 3}
+	}
+	s.Media = []*model.Medium{mk(0, []int{0, 1, 2}), mk(1, []int{2, 3})}
+	s.Tasks = []*model.Task{
+		{ID: 0, Name: "a", Period: 60, Deadline: 60,
+			WCET: map[int]int64{0: 5 + int64(rng.Intn(4)), 1: 6}, Allowed: []int{0, 1}, Messages: []int{0}},
+		{ID: 1, Name: "b", Period: 60, Deadline: 60,
+			WCET: map[int]int64{3: 5 + int64(rng.Intn(4))}, Allowed: []int{3}},
+		{ID: 2, Name: "c", Period: 30, Deadline: 30,
+			WCET: map[int]int64{0: 4, 1: 4, 3: 4 + int64(rng.Intn(3))}},
+	}
+	s.Messages = []*model.Message{
+		{ID: 0, Name: "m", From: 0, To: 1, Size: 1 + int64(rng.Intn(2)), Deadline: 45 + int64(rng.Intn(10))},
 	}
 	return s
 }
